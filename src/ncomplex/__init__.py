@@ -48,13 +48,7 @@ from .presentations import (
     u_in_z,
     z_in_u,
 )
-from .quotient_engine import (
-    TruncatedIdealBasis,
-    graded_dimension,
-    ideal_contains,
-    quotient_basis,
-    truncated_ideal_basis,
-)
+from .quotient_engine import TruncatedIdealBasis, graded_dimension
 from .verifier import (
     CheckResult,
     VerificationReport,

@@ -27,9 +27,7 @@ from .presentations import (
     theorem_relations,
 )
 from .quotient_engine import TruncatedIdealBasis, graded_dimension
-from .verifier import CHECK_NAMES, VerifyConfig, run_all
-
-_N_CHECKS = ("basis_lemma", "eq3_welldefined", "corollary", "commutative_case")
+from .verifier import CHECK_NAMES, CHECKS, VerifyConfig, run_all
 
 
 def parse_complex_file(path: str) -> Complex:
@@ -61,8 +59,12 @@ def parse_complex_file(path: str) -> Complex:
     return closure(facets, n)
 
 
-def _parse_node_set(text: str, n: int) -> NodeSet:
-    members = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_node_set(flag: str, text: str, n: int) -> NodeSet:
+    try:
+        members = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of vertices, "
+                         f"got {text!r}") from None
     return NodeSet.of(members, n)
 
 
@@ -89,10 +91,10 @@ def _cmd_relations(args) -> int:
     else:
         _require(args, fam, ["--n", "--i", "--j", "--A"])
         n, i, j = args.n, args.i, args.j
-        a = _parse_node_set(args.A, n)
+        a = _parse_node_set("--A", args.A, n)
         if fam == "9":
             _require(args, fam, ["--B"])
-            polys = [rel_9(a, _parse_node_set(args.B, n), i, j)]
+            polys = [rel_9(a, _parse_node_set("--B", args.B, n), i, j)]
         else:
             builder = {"1": rel_additive, "2": rel_multiplicative,
                        "4": rel_4, "5": rel_5, "10": rel_10}[fam]
@@ -116,11 +118,12 @@ def _cmd_hilbert(args) -> int:
 def _cmd_membership(args) -> int:
     c = parse_complex_file(args.complex)
     p = parse_poly(args.poly, c.n)
+    over = [d for d in p.degrees() if d > args.max_degree]
+    if over:
+        raise ValueError(f"polynomial has degree {over[0]} > --max-degree {args.max_degree}")
     basis = TruncatedIdealBasis(qF_presentation(c), args.max_degree)
     remainder = Poly.zero()
     for d in p.degrees():
-        if d > args.max_degree:
-            raise ValueError(f"polynomial has degree {d} > --max-degree {args.max_degree}")
         remainder = remainder + basis.reduce(p.graded_component(d))
     member = not remainder
     print("member" if member else "non-member")
@@ -135,21 +138,17 @@ def _cmd_verify(args) -> int:
         c = parse_complex_file(args.complex)
         complexes: tuple[Complex, ...] = (c,)
         ns = (c.n,)
-        if dimension(c) <= 1:
-            default_checks = CHECK_NAMES
-        else:
-            # graph checks only apply to 1-dimensional complexes; explicitly
-            # requesting them on a higher complex is still an error
-            default_checks = tuple(name for name in CHECK_NAMES
-                                   if name not in ("theorem", "presentation_equivalence"))
+        # graph checks only apply to 1-dimensional complexes; explicitly
+        # requesting them on a higher complex is still an error
+        skipped = () if dimension(c) <= 1 else ("graph",)
     else:
         complexes = ()
         ns = (args.n,)
-        default_checks = _N_CHECKS
+        skipped = ("complex", "graph")
     if args.checks:
         checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     else:
-        checks = tuple(default_checks)
+        checks = tuple(name for name in CHECK_NAMES if CHECKS[name][0] not in skipped)
     config = VerifyConfig(checks=checks, ns=ns, complexes=complexes,
                           max_degree=args.max_degree)
     report = run_all(config)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Complex, Graph, NodeSet
-from .free_algebra import Poly, Symbol, Word, symbol_key, u, z
+from .free_algebra import Poly, Symbol, Word, commutator, symbol_key, u, z
 
 
 @dataclass(frozen=True)
@@ -111,19 +111,12 @@ def rel_5(a: NodeSet, i: int, j: int) -> Poly:
     """Commutator form of rel_4; identically equal to -rel_4(A,i,j):
     sum of [u(C+i),u(D+j)] minus (sum of u(E+i+j)) * (sum of u(F+i)-u(F+j))."""
     _require_witnesses(a, i, j)
-    subs = a.subsets()
-    lhs = Poly.zero()
-    for c in subs:
-        for d in subs:
-            uc = Poly.from_symbol(u(c.plus(i)))
-            ud = Poly.from_symbol(u(d.plus(j)))
-            lhs = lhs + uc * ud - ud * uc
     pair_sum = Poly.zero()
     diff_sum = Poly.zero()
-    for e in subs:
+    for e in a.subsets():
         pair_sum = pair_sum + Poly.from_symbol(u(e.plus(i).plus(j)))
         diff_sum = diff_sum + Poly.from_symbol(u(e.plus(i))) - Poly.from_symbol(u(e.plus(j)))
-    return lhs - pair_sum * diff_sum
+    return rel_9(a, a, i, j) - pair_sum * diff_sum
 
 
 def rel_9(ap: NodeSet, bp: NodeSet, i: int, j: int) -> Poly:
@@ -139,7 +132,7 @@ def rel_9(ap: NodeSet, bp: NodeSet, i: int, j: int) -> Poly:
         for d in bp.subsets():
             uc = Poly.from_symbol(u(c.plus(i)))
             ud = Poly.from_symbol(u(d.plus(j)))
-            out = out + uc * ud - ud * uc
+            out = out + commutator(uc, ud)
     return out
 
 
@@ -165,16 +158,13 @@ def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
     uj = _vertex_poly(j, n)
     uij = _pair_poly(i, j, n, graph)
 
-    def com(p: Poly, q: Poly) -> Poly:
-        return p * q - q * p
-
-    out = com(ui, uj) - uij * (ui - uj)
+    out = commutator(ui, uj) - uij * (ui - uj)
     for k in a:
         uik = _pair_poly(i, k, n, graph)
         ujk = _pair_poly(j, k, n, graph)
-        out = out + com(uik, uj) + com(ui, ujk) - uij * (uik - ujk)
+        out = out + commutator(uik, uj) + commutator(ui, ujk) - uij * (uik - ujk)
         for el in a:
-            out = out + com(uik, _pair_poly(j, el, n, graph))
+            out = out + commutator(uik, _pair_poly(j, el, n, graph))
     return out
 
 
@@ -190,15 +180,12 @@ def identity_11_residual(a: NodeSet, i: int, j: int, k: int,
     ujk = _pair_poly(j, k, n, graph)
     ui, uj = _vertex_poly(i, n), _vertex_poly(j, n)
 
-    def com(p: Poly, q: Poly) -> Poly:
-        return p * q - q * p
-
     out = (rel_10(a, i, j, graph) - rel_10(a.minus(k), i, j, graph)
-           - com(uik, ujk) - com(uik, uj) - com(ui, ujk)
+           - commutator(uik, ujk) - commutator(uik, uj) - commutator(ui, ujk)
            + _pair_poly(i, j, n, graph) * (uik - ujk))
     for el in a.minus(k):
-        out = out - com(_pair_poly(i, el, n, graph), ujk)
-        out = out - com(uik, _pair_poly(j, el, n, graph))
+        out = out - commutator(_pair_poly(i, el, n, graph), ujk)
+        out = out - commutator(uik, _pair_poly(j, el, n, graph))
     return out
 
 
@@ -206,7 +193,7 @@ def theorem_rel_i(i: int, j: int, g: Graph) -> Poly:
     """Pair relation  [u(i),u(j)] - u(ij)(u(i)-u(j))  with non-edges zeroed."""
     n = g.n
     ui, uj = _vertex_poly(i, n), _vertex_poly(j, n)
-    return ui * uj - uj * ui - _pair_poly(i, j, n, g) * (ui - uj)
+    return commutator(ui, uj) - _pair_poly(i, j, n, g) * (ui - uj)
 
 
 def theorem_rel_ii(i: int, j: int, k: int, g: Graph) -> Poly:
@@ -217,10 +204,7 @@ def theorem_rel_ii(i: int, j: int, k: int, g: Graph) -> Poly:
     ujk = _pair_poly(j, k, n, g)
     ui, uj = _vertex_poly(i, n), _vertex_poly(j, n)
 
-    def com(p: Poly, q: Poly) -> Poly:
-        return p * q - q * p
-
-    return (com(uik, ujk) + com(uik, uj) + com(ui, ujk)
+    return (commutator(uik, ujk) + commutator(uik, uj) + commutator(ui, ujk)
             - _pair_poly(i, j, n, g) * (uik - ujk))
 
 
@@ -228,7 +212,7 @@ def theorem_rel_iii(i: int, j: int, k: int, el: int, g: Graph) -> Poly:
     """Disjoint-edge relation  [u(ij),u(kl)]  with non-edges zeroed."""
     p = _pair_poly(i, j, g.n, g)
     q = _pair_poly(k, el, g.n, g)
-    return p * q - q * p
+    return commutator(p, q)
 
 
 def theorem_relations(g: Graph) -> list[Poly]:

@@ -35,12 +35,10 @@ class Echelon:
     """Sparse row store in triangular form: one row per pivot column, each
     row's pivot being its largest column, scaled so the pivot entry is 1."""
 
-    __slots__ = ("pivots", "provenance")
+    __slots__ = ("pivots",)
 
-    def __init__(self, track_provenance: bool = False):
+    def __init__(self):
         self.pivots: dict[int, Vector] = {}
-        # pivot column -> list of (coeff, tag) combinations of inserted rows
-        self.provenance: dict[int, list] | None = {} if track_provenance else None
 
     @property
     def rank(self) -> int:
@@ -72,48 +70,15 @@ class Echelon:
                     v.pop(c2, None)
         return v
 
-    def _reduce_traced(self, vec: Vector, tag) -> tuple[Vector, list]:
-        v = dict(vec)
-        combo = [(Fraction(1), tag)]
-        heap = [-c for c in v]
-        heapq.heapify(heap)
-        while heap:
-            col = -heapq.heappop(heap)
-            if col not in v:
-                continue
-            row = self.pivots.get(col)
-            if row is None:
-                continue
-            coef = v.pop(col)
-            for prev_coef, prev_tag in self.provenance[col]:
-                combo.append((-coef * prev_coef, prev_tag))
-            for c2, x in row.items():
-                if c2 == col:
-                    continue
-                acc = v.get(c2, 0) - coef * x
-                if acc:
-                    if c2 not in v:
-                        heapq.heappush(heap, -c2)
-                    v[c2] = acc
-                else:
-                    v.pop(c2, None)
-        return v, combo
-
-    def insert(self, vec: Vector, tag=None) -> bool:
+    def insert(self, vec: Vector) -> bool:
         """Reduce and, if independent, store as a new pivot row.  Returns
         whether the rank grew."""
-        if self.provenance is None:
-            r = self.reduce(vec)
-            combo = None
-        else:
-            r, combo = self._reduce_traced(vec, tag)
+        r = self.reduce(vec)
         if not r:
             return False
         lead = max(r)
         inv = 1 / r[lead]
         self.pivots[lead] = {c: x * inv for c, x in r.items()}
-        if self.provenance is not None:
-            self.provenance[lead] = [(co * inv, t) for co, t in combo]
         return True
 
 
@@ -151,8 +116,7 @@ class TruncatedIdealBasis:
     """
 
     def __init__(self, presentation: Presentation, max_degree: int,
-                 key: Callable[[Symbol], tuple] = symbol_key,
-                 track_provenance: bool = False):
+                 key: Callable[[Symbol], tuple] = symbol_key):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.presentation = presentation
@@ -170,6 +134,13 @@ class TruncatedIdealBasis:
             if deg is None or deg < 1:
                 raise ValueError("relations must be nonzero of degree >= 1")
             self._rel_coords.append((deg, r.sorted_terms()))
+        # refuse an over-large request before any slice is built
+        for e in range(max_degree + 1):
+            entries = sum(len(coords) * (e - e0 + 1) * self.k ** (e - e0)
+                          for e0, coords in self._rel_coords if e0 <= e)
+            if entries > MATRIX_ENTRY_CAP:
+                raise ValueError(
+                    f"degree-{e} slice would exceed {MATRIX_ENTRY_CAP} matrix entries")
         # processing degree-1 relations first lets single-word kill rows act
         # as cheap pivots before the wide quadratic rows arrive
         self._rel_order = sorted(range(len(self._rel_coords)),
@@ -177,35 +148,20 @@ class TruncatedIdealBasis:
         self.slices: list[Echelon] = []
         self.stats: list[SliceStats] = []
         for e in range(max_degree + 1):
-            self.slices.append(self._build_slice(e, track_provenance))
+            self.slices.append(self._build_slice(e))
 
-    def _words(self, degree: int) -> list[Word]:
-        if self.k ** degree > MATRIX_ENTRY_CAP:
-            raise ValueError(
-                f"{self.k}^{degree} words exceed the cap {MATRIX_ENTRY_CAP}")
-        return [tuple(w) for w in product(self.letters, repeat=degree)]
-
-    def _build_slice(self, e: int, track_provenance: bool) -> Echelon:
-        ech = Echelon(track_provenance)
-        entries = 0
-        for t in self._rel_order:
-            e0, coords = self._rel_coords[t]
-            if e0 > e:
-                continue
-            free = e - e0
-            entries += len(coords) * (free + 1) * self.k ** free
-            if entries > MATRIX_ENTRY_CAP:
-                raise ValueError(
-                    f"degree-{e} slice would exceed {MATRIX_ENTRY_CAP} matrix entries")
+    def _build_slice(self, e: int) -> Echelon:
+        ech = Echelon()
+        # relations have degree >= 1, so the outer words are shorter than e
+        words = [list(product(self.letters, repeat=a)) for a in range(e)]
         rows = 0
         for t in self._rel_order:
             e0, coords = self._rel_coords[t]
             if e0 > e:
                 continue
             for a in range(e - e0 + 1):
-                b = e - e0 - a
-                lefts, rights = self._words(a), self._words(b)
-                for m1 in lefts:
+                rights = words[e - e0 - a]
+                for m1 in words[a]:
                     for m2 in rights:
                         vec = {}
                         for w, c in coords:
@@ -213,7 +169,7 @@ class TruncatedIdealBasis:
                             vec[col] = vec.get(col, 0) + c
                         vec = {c: x for c, x in vec.items() if x}
                         rows += 1
-                        ech.insert(vec, tag=(m1, t, m2))
+                        ech.insert(vec)
         self.stats.append(SliceStats(rows_generated=rows, rank=ech.rank))
         return ech
 
@@ -258,34 +214,7 @@ class TruncatedIdealBasis:
                 for i in range(self.k ** e) if i not in piv]
 
 
-def truncated_ideal_basis(p: Presentation, d: int,
-                          key: Callable[[Symbol], tuple] = symbol_key,
-                          track_provenance: bool = False) -> TruncatedIdealBasis:
-    return TruncatedIdealBasis(p, d, key=key, track_provenance=track_provenance)
-
-
-def ideal_contains(b: TruncatedIdealBasis, q: Poly) -> bool:
-    return b.contains(q)
-
-
 def graded_dimension(p: Presentation, d: int,
                      key: Callable[[Symbol], tuple] = symbol_key) -> list[int]:
     """Quotient dimensions at degrees 0..d."""
     return TruncatedIdealBasis(p, d, key=key).dimensions()
-
-
-def quotient_basis(p: Presentation, d: int,
-                   key: Callable[[Symbol], tuple] = symbol_key) -> list[list[Word]]:
-    basis = TruncatedIdealBasis(p, d, key=key)
-    return [basis.quotient_basis(e) for e in range(d + 1)]
-
-
-def dimension_table(p: Presentation, d: int) -> dict:
-    """The JSON dimension-table object for a presentation."""
-    return {"schema": 1, "label": p.label, "dims": graded_dimension(p, d)}
-
-
-def spanning_row_poly(p: Presentation, tag: tuple[Word, int, Word]) -> Poly:
-    """Rebuild the polynomial m1 * g * m2 named by a provenance tag."""
-    m1, t, m2 = tag
-    return Poly.term(1, m1) * p.relations[t] * Poly.term(1, m2)

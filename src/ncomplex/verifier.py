@@ -53,17 +53,6 @@ from .presentations import (
 )
 from .quotient_engine import Echelon, TruncatedIdealBasis, graded_dimension
 
-CHECK_NAMES = (
-    "basis_lemma",
-    "eq3_welldefined",
-    "corollary",
-    "commutative_case",
-    "proposition",
-    "theorem",
-    "presentation_equivalence",
-)
-
-
 @dataclass
 class CheckResult:
     check: str
@@ -321,13 +310,11 @@ def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
                 failures.append(f"graph relation {r} not in the quotient ideal")
 
         id11 = 0
-        for i, j in [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]:
-            rest = NodeSet.full(n).minus(i).minus(j)
-            for a in rest.subsets():
-                for k in a:
-                    id11 += 1
-                    if identity_11_residual(a, i, j, k):
-                        failures.append(f"identity (11) fails at A={a},i={i},j={j},k={k}")
+        for a, i, j in _instances(n):
+            for k in a:
+                id11 += 1
+                if identity_11_residual(a, i, j, k):
+                    failures.append(f"identity (11) fails at A={a},i={i},j={j},k={k}")
 
         rel12 = 0
         for i in range(1, n + 1):
@@ -342,14 +329,12 @@ def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
 
         graph_basis = TruncatedIdealBasis(graph_presentation(g), degree_bound)
         induction = 0
-        for i, j in [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]:
-            rest = NodeSet.full(n).minus(i).minus(j)
-            for a in rest.subsets():
-                induction += 1
-                r = rel_10(a, i, j, graph=g)
-                if r and not graph_basis.contains(r):
-                    failures.append(f"rel_10({a},{i},{j}) does not follow from "
-                                    f"the graph relations")
+        for a, i, j in _instances(n):
+            induction += 1
+            r = rel_10(a, i, j, graph=g)
+            if r and not graph_basis.contains(r):
+                failures.append(f"rel_10({a},{i},{j}) does not follow from "
+                                f"the graph relations")
         witness = {"graph": str(g), "n": n, "relations": len(rels),
                    "identity11_instances": id11, "rel12_instances": rel12,
                    "induction_instances": induction, "failures": failures}
@@ -374,6 +359,26 @@ def check_presentation_equivalence(g: Graph, d: int) -> CheckResult:
 # aggregation
 # ---------------------------------------------------------------------------
 
+#: every check in report order: its subject ("n", a complex, or the graph of
+#: a complex of dimension <= 1) and how run_all calls it on one subject at
+#: the configured degree.  The lambdas look the check up by name when called,
+#: so rebinding a module attribute check_* (as a profiler does) reaches run_all.
+CHECKS: dict[str, tuple[str, Callable]] = {
+    "basis_lemma": ("n", lambda n, d: check_basis_lemma(n)),
+    "eq3_welldefined": ("n", lambda n, d: check_eq3_welldefined(n)),
+    "corollary": ("n", lambda n, d: check_corollary(n)),
+    "commutative_case": ("n", lambda n, d: check_commutative_case(n, d)),
+    "proposition": ("complex", lambda c, d: check_proposition(c, max(2, d))),
+    "theorem": ("graph", lambda g, d: check_theorem(g, max(2, d))),
+    "presentation_equivalence": ("graph",
+                                 lambda g, d: check_presentation_equivalence(g, d)),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+_NEEDS = {"n": "n (pass --n or a complex)", "complex": "a complex",
+          "graph": "a complex of dimension <= 1"}
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     checks: tuple[str, ...] = CHECK_NAMES
@@ -389,37 +394,15 @@ def default_config() -> VerifyConfig:
 
 def run_all(config: VerifyConfig) -> VerificationReport:
     report = VerificationReport()
-    d = config.max_degree
+    subjects = {"n": config.ns, "complex": config.complexes,
+                "graph": [Graph.from_complex(c) for c in config.complexes
+                          if dimension(c) <= 1]}
     for name in config.checks:
-        if name not in CHECK_NAMES:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-        if name in ("basis_lemma", "eq3_welldefined", "corollary", "commutative_case"):
-            if not config.ns:
-                raise ValueError(f"check '{name}' needs n (pass --n or a complex)")
-            for n in config.ns:
-                if name == "basis_lemma":
-                    report.entries.append(check_basis_lemma(n))
-                elif name == "eq3_welldefined":
-                    report.entries.append(check_eq3_welldefined(n))
-                elif name == "corollary":
-                    report.entries.append(check_corollary(n))
-                else:
-                    report.entries.append(check_commutative_case(n, d))
-        elif name == "proposition":
-            if not config.complexes:
-                raise ValueError("check 'proposition' needs a complex")
-            for c in config.complexes:
-                report.entries.append(check_proposition(c, max(2, d)))
-        else:
-            graphs = [Graph.from_complex(c) for c in config.complexes
-                      if dimension(c) <= 1]
-            if config.complexes and not graphs:
-                raise ValueError(f"check '{name}' needs a complex of dimension <= 1")
-            if not config.complexes:
-                raise ValueError(f"check '{name}' needs a complex")
-            for g in graphs:
-                if name == "theorem":
-                    report.entries.append(check_theorem(g, max(2, d)))
-                else:
-                    report.entries.append(check_presentation_equivalence(g, d))
+        subject, run = CHECKS[name]
+        if not subjects[subject]:
+            raise ValueError(f"check '{name}' needs {_NEEDS[subject]}")
+        for s in subjects[subject]:
+            report.entries.append(run(s, config.max_degree))
     return report

@@ -113,6 +113,16 @@ class TestRelationsCommand:
                                     "--A", "1", "--i", "1", "--j", "2"])
         assert code == 2 and "lies in" in err
 
+    def test_bad_vertex_list(self, capsys):
+        code, _, err = run(capsys, ["relations", "--family", "4", "--n", "3",
+                                    "--A", "1,x", "--i", "2", "--j", "3"])
+        assert code == 2
+        assert "--A must be a comma-separated list of vertices, got '1,x'" in err
+        code, _, err = run(capsys, ["relations", "--family", "9", "--n", "3",
+                                    "--A", "3", "--B", "1,x", "--i", "1", "--j", "2"])
+        assert code == 2
+        assert "--B must be a comma-separated list of vertices, got '1,x'" in err
+
 
 class TestHilbertCommand:
     def test_documented_invocation(self, capsys, edgeless3):
@@ -171,6 +181,14 @@ class TestMembershipCommand:
         code, _, err = run(capsys, ["membership", "--complex", path3, "--poly",
                                     "u({1})*u({2})*u({3})", "--max-degree", "2"])
         assert code == 2 and "degree 3" in err
+
+    def test_degree_checked_before_basis_build(self, capsys, path3, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("basis built for an over-degree query")
+        monkeypatch.setattr("ncomplex.cli.TruncatedIdealBasis", build)
+        code, _, err = run(capsys, ["membership", "--complex", path3, "--poly",
+                                    "u({1})*u({2})*u({3})", "--max-degree", "2"])
+        assert code == 2 and "degree 3 > --max-degree 2" in err
 
     def test_parse_error(self, capsys, path3):
         code, _, err = run(capsys, ["membership", "--complex", path3, "--poly",

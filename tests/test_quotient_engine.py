@@ -30,13 +30,10 @@ from ncomplex.presentations import (
     rel_4,
 )
 from ncomplex.quotient_engine import (
+    Echelon,
     TruncatedIdealBasis,
-    dimension_table,
+    _index_word,
     graded_dimension,
-    ideal_contains,
-    quotient_basis,
-    spanning_row_poly,
-    truncated_ideal_basis,
 )
 
 
@@ -154,7 +151,7 @@ class TestTrivialExamples:
         pres = qn_presentation(2, "u")
         basis = TruncatedIdealBasis(pres, 2)
         for g in pres.relations:
-            assert ideal_contains(basis, g)
+            assert basis.contains(g)
 
     def test_single_word_not_member(self):
         basis = TruncatedIdealBasis(qn_presentation(2, "u"), 2)
@@ -191,22 +188,17 @@ class TestGradedDimension:
             ud = graded_dimension(qn_presentation(n, "u"), 2)
             assert zd == ud, n
 
-    def test_dimension_table(self):
-        t = dimension_table(qF_presentation(closure([], 3)), 2)
-        assert t == {"schema": 1, "label": "QF(n=3,faces={1},{2},{3})",
-                     "dims": [1, 3, 6]}
-
 
 class TestQuotientBasis:
     def test_degree_one_u_form(self):
-        qb = quotient_basis(qn_presentation(2, "u"), 1)
-        assert qb[0] == [()]
-        assert [poly_text(Poly.term(1, w)) for w in qb[1]] == \
+        basis = TruncatedIdealBasis(qn_presentation(2, "u"), 1)
+        assert basis.quotient_basis(0) == [()]
+        assert [poly_text(Poly.term(1, w)) for w in basis.quotient_basis(1)] == \
             ["u({1})", "u({2})", "u({1,2})"]
 
     def test_edgeless_graph_degree_two(self):
-        qb = quotient_basis(graph_presentation(edgeless_graph(2)), 2)
-        assert len(qb[2]) == 3
+        basis = TruncatedIdealBasis(graph_presentation(edgeless_graph(2)), 2)
+        assert len(basis.quotient_basis(2)) == 3
 
     def test_sizes_match_dimensions(self):
         pres = qF_presentation(closure([{1, 2}], 3))
@@ -217,21 +209,15 @@ class TestQuotientBasis:
 
 class TestEngineProperties:
     def test_soundness_of_stored_rows(self):
-        # every pivot row must be reconstructible as an explicit combination
-        # of m1 * g * m2 spanning polynomials
+        # every stored pivot row, read back as a polynomial, must lie in the
+        # ideal according to the dense oracle
         pres = qF_presentation(closure([{1, 2}, {2, 3}], 3))
-        basis = TruncatedIdealBasis(pres, 2, track_provenance=True)
-        ech = basis.slices[2]
-        items = sorted(ech.pivots.items())
+        basis = TruncatedIdealBasis(pres, 2)
+        items = sorted(basis.slices[2].pivots.items())
         rng = random.Random(23)
-        from ncomplex.quotient_engine import _word_index
-        for lead, row in rng.sample(items, min(10, len(items))):
-            acc = Poly.zero()
-            for coeff, tag in ech.provenance[lead]:
-                acc = acc + coeff * spanning_row_poly(pres, tag)
-            rebuilt = {_word_index(w, basis._sym_index, basis.k): c
-                       for w, c in acc.terms.items()}
-            assert rebuilt == dict(row)
+        for _, row in rng.sample(items, min(10, len(items))):
+            q = Poly({_index_word(c, basis.letters, 2): x for c, x in row.items()})
+            assert dense_member(pres, q)
 
     def test_monotonicity(self):
         pres = qF_presentation(closure([{1, 2}, {2, 3}], 3))
@@ -291,7 +277,15 @@ class TestErrors:
     def test_monomial_cap(self):
         pres = qn_presentation(4, "u")  # 15 letters
         with pytest.raises(ValueError, match="cap"):
-            truncated_ideal_basis(pres, 7)
+            TruncatedIdealBasis(pres, 7)
+
+    def test_entry_cap_refused_before_any_slice_is_built(self, monkeypatch):
+        def insert(self, vec):
+            raise AssertionError("a slice was built before the estimate")
+        monkeypatch.setattr(Echelon, "insert", insert)
+        pres = qn_presentation(4, "u")  # degree 4 fits, degree 5 does not
+        with pytest.raises(ValueError, match="degree-5 slice would exceed"):
+            TruncatedIdealBasis(pres, 5)
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,13 @@ class TestRunAll:
         report = run_all(VerifyConfig(checks=("corollary",), ns=(2,)))
         assert report.overall and len(report.entries) == 1
 
+    def test_checks_are_looked_up_when_run(self, monkeypatch):
+        # a check rebound on the module after import is the one run_all calls
+        fake = CheckResult("corollary", {"n": 2}, True, {}, 0)
+        monkeypatch.setattr("ncomplex.verifier.check_corollary", lambda n: fake)
+        report = run_all(VerifyConfig(checks=("corollary",), ns=(2,)))
+        assert report.entries == [fake]
+
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_all(VerifyConfig(checks=("bogus",), ns=(2,)))
