@@ -132,11 +132,6 @@ class Poly:
     def terms(self) -> dict[Word, Fraction]:
         return dict(self._terms)
 
-    @property
-    def universe(self) -> int | None:
-        """Common n of all symbols, or None for scalar polynomials."""
-        return self._n
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

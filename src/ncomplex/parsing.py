@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import NodeSet
-from .free_algebra import Poly, u, z
+from .free_algebra import Poly, commutator, u, z
 
 
 class _Parser:
@@ -104,7 +104,7 @@ class _Parser:
             self.take(",")
             q = self.expr()
             self.take("]")
-            return p * q - q * p
+            return commutator(p, q)
         if ch in ("u", "z"):
             return self.symbol()
         if ch.isdigit():

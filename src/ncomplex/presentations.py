@@ -68,14 +68,17 @@ def rel_multiplicative(a: NodeSet, i: int, j: int) -> Poly:
             - Poly.from_symbol(z(a.plus(j), i)) * Poly.from_symbol(z(a, j)))
 
 
+def _subset_sum(a: NodeSet, *top: int) -> Poly:
+    """The sum of u(D + top) over all D inside A."""
+    t = NodeSet.of(top, a.n)
+    return Poly({(u(d | t),): Fraction(1) for d in a.subsets()})
+
+
 def z_in_u(a: NodeSet, i: int) -> Poly:
     """z(A,i) written in the u basis: the sum of u(D+i) over all D inside A."""
     if i in a:
         raise ValueError(f"index i={i} lies in A={a}")
-    out: dict[Word, Fraction] = {}
-    for d in a.subsets():
-        out[(u(d.plus(i)),)] = Fraction(1)
-    return Poly(out)
+    return _subset_sum(a, i)
 
 
 def u_in_z(a: NodeSet, i: int) -> Poly:
@@ -91,32 +94,23 @@ def u_in_z(a: NodeSet, i: int) -> Poly:
 
 
 def rel_4(a: NodeSet, i: int, j: int) -> Poly:
-    """The u-form quadratic relation of the base algebra, one per (A,i,j)."""
+    """The u-form quadratic relation of the base algebra, one per (A,i,j):
+    (S_j + S_ij) S_i - (S_i + S_ij) S_j, where S_T sums u(D+T) over D inside A."""
     _require_witnesses(a, i, j)
-    lhs = Poly.zero()
-    rhs = Poly.zero()
-    subs = a.subsets()
-    for c in subs:
-        uc_j = Poly.from_symbol(u(c.plus(j)))
-        uc_ij = Poly.from_symbol(u(c.plus(i).plus(j)))
-        for d in subs:
-            ud_i = Poly.from_symbol(u(d.plus(i)))
-            ud_ij = Poly.from_symbol(u(d.plus(i).plus(j)))
-            lhs = lhs + (uc_j + uc_ij) * ud_i
-            rhs = rhs + (ud_i + ud_ij) * uc_j
-    return lhs - rhs
+    si = _subset_sum(a, i)
+    sj = _subset_sum(a, j)
+    sij = _subset_sum(a, i, j)
+    return (sj + sij) * si - (si + sij) * sj
 
 
 def rel_5(a: NodeSet, i: int, j: int) -> Poly:
     """Commutator form of rel_4; identically equal to -rel_4(A,i,j):
     sum of [u(C+i),u(D+j)] minus (sum of u(E+i+j)) * (sum of u(F+i)-u(F+j))."""
     _require_witnesses(a, i, j)
-    pair_sum = Poly.zero()
-    diff_sum = Poly.zero()
-    for e in a.subsets():
-        pair_sum = pair_sum + Poly.from_symbol(u(e.plus(i).plus(j)))
-        diff_sum = diff_sum + Poly.from_symbol(u(e.plus(i))) - Poly.from_symbol(u(e.plus(j)))
-    return rel_9(a, a, i, j) - pair_sum * diff_sum
+    si = _subset_sum(a, i)
+    sj = _subset_sum(a, j)
+    sij = _subset_sum(a, i, j)
+    return rel_9(a, a, i, j) - sij * (si - sj)
 
 
 def rel_9(ap: NodeSet, bp: NodeSet, i: int, j: int) -> Poly:
@@ -127,16 +121,10 @@ def rel_9(ap: NodeSet, bp: NodeSet, i: int, j: int) -> Poly:
         raise ValueError(f"index i={i} lies in A'={ap}")
     if j in bp:
         raise ValueError(f"index j={j} lies in B'={bp}")
-    out = Poly.zero()
-    for c in ap.subsets():
-        for d in bp.subsets():
-            uc = Poly.from_symbol(u(c.plus(i)))
-            ud = Poly.from_symbol(u(d.plus(j)))
-            out = out + commutator(uc, ud)
-    return out
+    return commutator(_subset_sum(ap, i), _subset_sum(bp, j))
 
 
-def _pair_poly(i: int, j: int, n: int, graph: Graph | None) -> Poly:
+def _pair_poly(i: int, j: int, n: int, graph: Graph | None = None) -> Poly:
     """u({i,j}), or zero when a graph is given and (i,j) is not one of its
     edges (the build-time convention for graph presentations)."""
     if graph is not None and not graph.has_edge(i, j):
@@ -150,42 +138,33 @@ def _vertex_poly(i: int, n: int) -> Poly:
 
 def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
     """The quadratic element R(A,i,j): rel_5(A,i,j) with every u(S), |S| >= 3,
-    set to zero.  With a graph argument, non-edge pair generators are also
-    zeroed at build time."""
+    set to zero, that is [P_i,P_j] - u(ij)(P_i - P_j) with
+    P_i = u(i) + sum over k in A of u(ik).  With a graph argument, non-edge
+    pair generators are also zeroed at build time."""
     _require_witnesses(a, i, j)
     n = a.n
-    ui = _vertex_poly(i, n)
-    uj = _vertex_poly(j, n)
-    uij = _pair_poly(i, j, n, graph)
-
-    out = commutator(ui, uj) - uij * (ui - uj)
-    for k in a:
-        uik = _pair_poly(i, k, n, graph)
-        ujk = _pair_poly(j, k, n, graph)
-        out = out + commutator(uik, uj) + commutator(ui, ujk) - uij * (uik - ujk)
-        for el in a:
-            out = out + commutator(uik, _pair_poly(j, el, n, graph))
-    return out
+    pi = sum((_pair_poly(i, k, n, graph) for k in a), _vertex_poly(i, n))
+    pj = sum((_pair_poly(j, k, n, graph) for k in a), _vertex_poly(j, n))
+    return commutator(pi, pj) - _pair_poly(i, j, n, graph) * (pi - pj)
 
 
-def identity_11_residual(a: NodeSet, i: int, j: int, k: int,
-                         graph: Graph | None = None) -> Poly:
+def identity_11_residual(a: NodeSet, i: int, j: int, k: int) -> Poly:
     """Residual of the recursion identity relating R(A,i,j) to R(A-k,i,j);
     identically zero in the free algebra for every instance."""
     _require_witnesses(a, i, j)
     if k not in a:
         raise ValueError(f"index k={k} must lie in A={a}")
     n = a.n
-    uik = _pair_poly(i, k, n, graph)
-    ujk = _pair_poly(j, k, n, graph)
+    uik = _pair_poly(i, k, n)
+    ujk = _pair_poly(j, k, n)
     ui, uj = _vertex_poly(i, n), _vertex_poly(j, n)
 
-    out = (rel_10(a, i, j, graph) - rel_10(a.minus(k), i, j, graph)
+    out = (rel_10(a, i, j) - rel_10(a.minus(k), i, j)
            - commutator(uik, ujk) - commutator(uik, uj) - commutator(ui, ujk)
-           + _pair_poly(i, j, n, graph) * (uik - ujk))
+           + _pair_poly(i, j, n) * (uik - ujk))
     for el in a.minus(k):
-        out = out - commutator(_pair_poly(i, el, n, graph), ujk)
-        out = out - commutator(uik, _pair_poly(j, el, n, graph))
+        out = out - commutator(_pair_poly(i, el, n), ujk)
+        out = out - commutator(uik, _pair_poly(j, el, n))
     return out
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, symbol_key
@@ -128,12 +127,16 @@ class TruncatedIdealBasis:
             raise ValueError(
                 f"{self.k}^{max_degree} words exceed the monomial cap {MONOMIAL_CAP}")
         self._sym_index = {s: p for p, s in enumerate(self.letters)}
-        self._rel_coords: list[tuple[int, list[tuple[Word, Fraction]]]] = []
+        # each relation as (degree, [(column of word, coefficient)]), in
+        # sorted_terms order
+        self._rel_coords: list[tuple[int, list[tuple[int, Fraction]]]] = []
         for r in presentation.relations:
             deg = r.degree()
             if deg is None or deg < 1:
                 raise ValueError("relations must be nonzero of degree >= 1")
-            self._rel_coords.append((deg, r.sorted_terms()))
+            self._rel_coords.append(
+                (deg, [(_word_index(w, self._sym_index, self.k), c)
+                       for w, c in r.sorted_terms()]))
         # refuse an over-large request before any slice is built
         for e in range(max_degree + 1):
             entries = sum(len(coords) * (e - e0 + 1) * self.k ** (e - e0)
@@ -152,24 +155,23 @@ class TruncatedIdealBasis:
 
     def _build_slice(self, e: int) -> Echelon:
         ech = Echelon()
-        # relations have degree >= 1, so the outer words are shorter than e
-        words = [list(product(self.letters, repeat=a)) for a in range(e)]
+        k = self.k
         rows = 0
         for t in self._rel_order:
             e0, coords = self._rel_coords[t]
             if e0 > e:
                 continue
+            # m1 * w * m2 with |m1| = a, |m2| = b sits at column
+            # m1 * k^(e-a) + w * k^b + m2; distinct words w give distinct
+            # columns, so each row is its relation's terms shifted
             for a in range(e - e0 + 1):
-                rights = words[e - e0 - a]
-                for m1 in words[a]:
-                    for m2 in rights:
-                        vec = {}
-                        for w, c in coords:
-                            col = _word_index(m1 + w + m2, self._sym_index, self.k)
-                            vec[col] = vec.get(col, 0) + c
-                        vec = {c: x for c, x in vec.items() if x}
-                        rows += 1
-                        ech.insert(vec)
+                b = e - e0 - a
+                kb, step = k ** b, k ** (e - a)
+                shifted = [(col * kb, c) for col, c in coords]
+                for m1 in range(k ** a):
+                    for base in range(m1 * step, m1 * step + kb):
+                        ech.insert({base + col: c for col, c in shifted})
+                rows += k ** (e - e0)
         self.stats.append(SliceStats(rows_generated=rows, rank=ech.rank))
         return ech
 

@@ -62,6 +62,11 @@ def instances(n):
     return out
 
 
+def instances_a3():
+    """The n=5 instances with |A| = 3 (beyond what n <= 4 reaches)."""
+    return [(a, i, j) for a, i, j in instances(5) if a.size == 3]
+
+
 def z_to_u_images(n):
     return {s: z_in_u(s.a, s.i) for s in all_z_symbols(n)}
 
@@ -164,9 +169,10 @@ class TestURelations:
             assert rel_4(a, i, j).degree() == 2
 
     def test_rel_4_is_substitution_image_of_multiplicative(self):
-        for n in (2, 3, 4):
+        for n, insts in ((2, instances(2)), (3, instances(3)), (4, instances(4)),
+                         (5, instances_a3())):
             images = z_to_u_images(n)
-            for a, i, j in instances(n):
+            for a, i, j in insts:
                 assert substitute(rel_multiplicative(a, i, j), images) == rel_4(a, i, j)
 
     def test_additive_substitutes_to_zero(self):
@@ -182,9 +188,8 @@ class TestURelations:
         assert got == expected
 
     def test_rel_5_is_minus_rel_4(self):
-        for n in (2, 3, 4):
-            for a, i, j in instances(n):
-                assert rel_5(a, i, j) == -1 * rel_4(a, i, j)
+        for a, i, j in instances(2) + instances(3) + instances(4) + instances_a3():
+            assert rel_5(a, i, j) == -1 * rel_4(a, i, j)
 
     def test_rel_5_swap(self):
         assert rel_5(ns(n=2), 2, 1) == -1 * rel_5(ns(n=2), 1, 2)
@@ -217,9 +222,9 @@ class TestRel10:
         assert got == expected
 
     def test_is_truncation_of_rel_5(self):
-        for n in (3, 4):
+        for n, insts in ((3, instances(3)), (4, instances(4)), (5, instances_a3())):
             kill = kill_large_images(n)
-            for a, i, j in instances(n):
+            for a, i, j in insts:
                 assert rel_10(a, i, j) == substitute(rel_5(a, i, j), kill)
 
     def test_single_k_difference(self):

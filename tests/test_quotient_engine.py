@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from ncomplex.complexes import NodeSet, closure, edgeless_graph, path_graph
+from ncomplex.complexes import (
+    NodeSet,
+    closure,
+    complete_graph,
+    cycle_graph,
+    edgeless_graph,
+    path_graph,
+)
 from ncomplex.free_algebra import (
     Poly,
     commutator,
@@ -106,12 +113,17 @@ SMALL_CASES = [
     (qF_presentation(closure([], 3)), 2),
     (qF_presentation(closure([{1, 2}, {2, 3}], 3)), 2),
     (graph_presentation(path_graph(3)), 2),
+    # from degree 3 on, rows have both outer words m1 and m2 non-empty
+    (qn_presentation(2, "u"), 4),
+    (qn_presentation(2, "z"), 3),
+    (graph_presentation(complete_graph(2)), 4),
 ]
 
 
 class TestAgainstDenseOracle:
     @pytest.mark.parametrize("pres,d", SMALL_CASES,
-                             ids=[p.label for p, _ in SMALL_CASES])
+                             ids=[p.label if d == 2 else f"{p.label},d={d}"
+                                  for p, d in SMALL_CASES])
     def test_ranks_agree(self, pres, d):
         basis = TruncatedIdealBasis(pres, d)
         for e in range(d + 1):
@@ -208,6 +220,20 @@ class TestQuotientBasis:
 
 
 class TestEngineProperties:
+    @pytest.mark.parametrize("pres,d,expected", [
+        (qF_presentation(closure([[1, 2], [2, 3], [3, 4]], 4)), 3,
+         [(0, 0), (8, 8), (288, 189), (6840, 3207)]),
+        (qn_presentation(3, "u"), 4,
+         [(0, 0), (0, 0), (12, 5), (168, 69), (1764, 696)]),
+        (graph_presentation(cycle_graph(4)), 4,
+         [(0, 0), (0, 0), (32, 16), (512, 248), (6144, 2689)]),
+    ], ids=["qF-P4", "Q3-u", "graph-C4"])
+    def test_slice_stats(self, pres, d, expected):
+        # rows generated per degree are sum over relations of
+        # (e - deg g + 1) * k^(e - deg g); the ranks are frozen values
+        basis = TruncatedIdealBasis(pres, d)
+        assert [(s.rows_generated, s.rank) for s in basis.stats] == expected
+
     def test_soundness_of_stored_rows(self):
         # every stored pivot row, read back as a polynomial, must lie in the
         # ideal according to the dense oracle
