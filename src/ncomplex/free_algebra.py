@@ -226,7 +226,7 @@ def commutator(p: Poly, q: Poly) -> Poly:
 
 def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
     """Apply the algebra homomorphism sending each symbol to its image."""
-    out = Poly.zero()
+    out: dict[Word, Fraction] = {}
     for w, c in p._terms.items():
         acc = Poly({(): c})
         for s in w:
@@ -234,8 +234,9 @@ def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
             if img is None:
                 raise ValueError(f"no image for symbol {s}")
             acc = acc * img
-        out = out + acc
-    return out
+        for w2, c2 in acc._terms.items():
+            out[w2] = out.get(w2, 0) + c2
+    return Poly(out)
 
 
 def enumerate_monomials(alphabet: Iterable[Symbol], d: int,

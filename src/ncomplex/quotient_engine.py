@@ -6,6 +6,7 @@ is a relation and deg m1 + deg g + deg m2 = e.  This module materializes those
 spanning rows degree by degree as sparse rational vectors over the canonical
 word list, keeps them in triangular (distinct leading column) form, and
 answers membership, rank and quotient-basis queries from that structure.
+Coefficients stay exact, never float: int where integral, else Fraction.
 
 Normal forms are canonical: a reduced remainder is supported only on
 non-pivot columns, and the projection along the row space onto those
@@ -21,18 +22,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, symbol_key
+from .free_algebra import MONOMIAL_CAP, Poly, Rational, Symbol, Word, symbol_key
 from .presentations import Presentation
 
 #: refuse slices whose spanning rows would hold more nonzeros than this
 MATRIX_ENTRY_CAP = 10**7
 
-Vector = dict[int, Fraction]
+Vector = dict[int, Rational]
+
+
+def _exact(x: Rational) -> Rational:
+    """x as an int when it is integral, else as a Fraction."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class Echelon:
     """Sparse row store in triangular form: one row per pivot column, each
-    row's pivot being its largest column, scaled so the pivot entry is 1."""
+    row's pivot being its largest column, scaled so the pivot entry is 1.
+    Integral entries are stored as int and all others as Fraction."""
 
     __slots__ = ("pivots",)
 
@@ -76,8 +83,9 @@ class Echelon:
         if not r:
             return False
         lead = max(r)
-        inv = 1 / r[lead]
-        self.pivots[lead] = {c: x * inv for c, x in r.items()}
+        # a pivot of +-1 is its own inverse; 1 / int would give a float
+        inv = r[lead] if r[lead] in (1, -1) else 1 / Fraction(r[lead])
+        self.pivots[lead] = {c: _exact(x * inv) for c, x in r.items()}
         return True
 
 
@@ -129,13 +137,13 @@ class TruncatedIdealBasis:
         self._sym_index = {s: p for p, s in enumerate(self.letters)}
         # each relation as (degree, [(column of word, coefficient)]), in
         # sorted_terms order
-        self._rel_coords: list[tuple[int, list[tuple[int, Fraction]]]] = []
+        self._rel_coords: list[tuple[int, list[tuple[int, Rational]]]] = []
         for r in presentation.relations:
             deg = r.degree()
             if deg is None or deg < 1:
                 raise ValueError("relations must be nonzero of degree >= 1")
             self._rel_coords.append(
-                (deg, [(_word_index(w, self._sym_index, self.k), c)
+                (deg, [(_word_index(w, self._sym_index, self.k), _exact(c))
                        for w, c in r.sorted_terms()]))
         # refuse an over-large request before any slice is built
         for e in range(max_degree + 1):
@@ -181,7 +189,8 @@ class TruncatedIdealBasis:
             return 0, {}
         if deg > self.max_degree:
             raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
-        vec = {_word_index(w, self._sym_index, self.k): c for w, c in q.terms.items()}
+        vec = {_word_index(w, self._sym_index, self.k): _exact(c)
+               for w, c in q.terms.items()}
         return deg, vec
 
     def contains(self, q: Poly) -> bool:

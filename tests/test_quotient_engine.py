@@ -7,6 +7,7 @@ list, and rank/membership are read off the dense echelon.  The engine must
 agree with it on every tested presentation.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from ncomplex.quotient_engine import (
     _index_word,
     graded_dimension,
 )
+from ncomplex.verifier import _additive_echelon
 
 
 def ns(*elems, n=3):
@@ -50,6 +52,35 @@ def ns(*elems, n=3):
 
 def up(*elems, n=3):
     return Poly.from_symbol(u(NodeSet.of(elems, n)))
+
+
+def mixed_presentation():
+    """Relations with non-unit leading coefficients and non-integral
+    coefficients, so pivot normalisation divides inexactly (and, for the
+    last relation, exactly by 2)."""
+    alphabet = (u(ns(1, n=2)), u(ns(2, n=2)), u(ns(1, 2, n=2)))
+    a, b, c = (Poly.from_symbol(s) for s in alphabet)
+    rels = (2 * a * b - 3 * b * a,
+            Fraction(1, 2) * a * a + Fraction(2, 3) * b * b - a * b,
+            4 * c * a - 6 * b * c,
+            2 * c * c - 4 * a * b)
+    return Presentation("mixed(n=2)", alphabet, rels)
+
+
+def stored_entries(echelons):
+    return [x for ech in echelons for row in ech.pivots.values() for x in row.values()]
+
+
+def row_digest(basis):
+    """sha256 over every stored row as (degree, pivot, sorted (column,
+    str(Fraction(x)))): equal digests mean equal rows, whatever the types."""
+    h = hashlib.sha256()
+    for e, ech in enumerate(basis.slices):
+        for piv in sorted(ech.pivots):
+            row = ech.pivots[piv]
+            h.update(repr((e, piv, sorted((c, str(Fraction(x)))
+                                          for c, x in row.items()))).encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +148,7 @@ SMALL_CASES = [
     (qn_presentation(2, "u"), 4),
     (qn_presentation(2, "z"), 3),
     (graph_presentation(complete_graph(2)), 4),
+    (mixed_presentation(), 4),
 ]
 
 
@@ -129,21 +161,32 @@ class TestAgainstDenseOracle:
         for e in range(d + 1):
             rows, _ = dense_rows(pres, e)
             assert basis.rank(e) == dense_rank(rows), e
+        # integral entries are stored as int, never as a float or Fraction
+        for x in stored_entries(basis.slices):
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+
+    def test_inexact_pivots_store_fractions(self):
+        entries = stored_entries(TruncatedIdealBasis(mixed_presentation(), 3).slices)
+        assert any(type(x) is Fraction for x in entries)
+        assert any(type(x) is int and x not in (1, -1) for x in entries)
 
     def test_membership_agrees_on_random_quadratics(self):
-        rng = random.Random(17)
-        pres = qF_presentation(closure([{1, 2}, {2, 3}], 3))
-        basis = TruncatedIdealBasis(pres, 2)
-        letters = list(pres.alphabet)
-        for _ in range(25):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                w = (rng.choice(letters), rng.choice(letters))
-                terms[w] = Fraction(rng.randint(-3, 3))
-            q = Poly(terms)
-            if not q:
-                continue
-            assert basis.contains(q) == dense_member(pres, q)
+        for pres in (qF_presentation(closure([{1, 2}, {2, 3}], 3)), mixed_presentation()):
+            rng = random.Random(17)
+            basis = TruncatedIdealBasis(pres, 2)
+            letters = list(pres.alphabet)
+            for _ in range(25):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    w = (rng.choice(letters), rng.choice(letters))
+                    terms[w] = Fraction(rng.randint(-3, 3))
+                q = Poly(terms)
+                if not q:
+                    continue
+                assert basis.contains(q) == dense_member(pres, q)
+                # q minus its remainder must lie in the ideal
+                member = q - basis.reduce(q)
+                assert not member or dense_member(pres, member)
 
 
 class TestTrivialExamples:
@@ -233,6 +276,28 @@ class TestEngineProperties:
         # (e - deg g + 1) * k^(e - deg g); the ranks are frozen values
         basis = TruncatedIdealBasis(pres, d)
         assert [(s.rows_generated, s.rank) for s in basis.stats] == expected
+
+    @pytest.mark.parametrize("pres,expected", [
+        (qn_presentation(3, "u"),
+         "4867dca0272d6819d6c1ab5e4ab939508c6ae8e74a0b8a2a9750ccfbd79c6be8"),
+        (graph_presentation(cycle_graph(4)),
+         "0da5dd8e1f414eb52f7e7cc0c3340ae821ed23f5bb309d53572bbce596c1c824"),
+    ], ids=["Q3-u", "graph-C4"])
+    def test_stored_rows_frozen(self, pres, expected):
+        # the digests were taken from an all-Fraction row store, so the int
+        # rows must equal those rows entry for entry
+        basis = TruncatedIdealBasis(pres, 4)
+        assert all(type(x) is int for x in stored_entries(basis.slices))
+        assert row_digest(basis) == expected
+        x, y = pres.alphabet[0], pres.alphabet[-1]
+        rem = basis.reduce(Poly({(x, y, x, y): Fraction(1, 2), (y, y, x, x): 3}))
+        assert rem and all(type(c) is Fraction for c in rem.terms.values())
+
+    def test_additive_echelon_stores_ints(self):
+        # the verifier inserts Fraction vectors; integral entries still come
+        # out as int
+        ech, _ = _additive_echelon(3)
+        assert ech.rank and all(type(x) is int for x in stored_entries([ech]))
 
     def test_soundness_of_stored_rows(self):
         # every stored pivot row, read back as a polynomial, must lie in the
