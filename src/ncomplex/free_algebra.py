@@ -12,7 +12,7 @@ equality is literal equality of the maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping
@@ -25,7 +25,7 @@ MONOMIAL_CAP = 10**7
 Rational = Fraction | int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Symbol:
     """A degree-1 generator: kind 'z' carries (A, i) with i not in A, kind 'u'
     carries a nonempty A."""
@@ -33,6 +33,9 @@ class Symbol:
     kind: str
     a: NodeSet
     i: int | None = None
+    # one int, equal exactly when the symbols are, that is the hash and the
+    # canonical order: kind, |A| (5 bits), A's elements (16), i (5), n (5)
+    _key: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "z":
@@ -49,6 +52,20 @@ class Symbol:
                 raise ValueError("u({}) is the unit, not a generator")
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        # of two sets of one size, A comes first lexicographically exactly
+        # when the smallest vertex in only one of them lies in A, that is,
+        # when A's mask read with vertex 1 as the top of 16 bits is larger
+        rev = int(f"{self.a.bits:016b}"[::-1], 2)
+        key = ((self.kind == "u") << 5 | self.a.size) << 16 | (0xFFFF - rev)
+        object.__setattr__(self, "_key", (key << 5 | (self.i or 0)) << 5 | self.a.n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._key
 
     @property
     def n(self) -> int:
@@ -68,27 +85,25 @@ def u(a: NodeSet) -> Symbol:
     return Symbol("u", a)
 
 
-def symbol_key(s: Symbol) -> tuple:
-    """Canonical total order: all z before all u, then by (|A|, elements, i)."""
-    if s.kind == "z":
-        return (0, s.a.size, s.a.elements, s.i)
-    return (1, s.a.size, s.a.elements, 0)
+def symbol_key(s: Symbol) -> int:
+    """Canonical total order: all z before all u, then by (|A|, elements, i)
+    (then n, which only tells apart symbols of different universes)."""
+    return s._key
 
 
-def reversed_symbol_key(s: Symbol) -> tuple:
+def reversed_symbol_key(s: Symbol) -> int:
     """An alternative total order (the canonical one reversed); results of the
     quotient engine must not depend on which order is used."""
-    k = symbol_key(s)
-    return (-k[0], -k[1], tuple(-e for e in k[2]), -k[3])
+    return -s._key
 
 
 #: a word in the generators; the empty tuple is the unit monomial
 Word = tuple[Symbol, ...]
 
 
-def word_key(w: Word, key: Callable[[Symbol], tuple] = symbol_key) -> tuple:
+def word_key(w: Word, key: Callable[[Symbol], int] = symbol_key) -> tuple:
     """Degree-first, then lexicographic by the symbol order."""
-    return (len(w), tuple(key(s) for s in w))
+    return (len(w), tuple(map(key, w)))
 
 
 class Poly:
@@ -113,16 +128,25 @@ class Poly:
         self._n = n
 
     @classmethod
+    def _canonical(cls, terms: dict[Word, Fraction], n: int | None) -> "Poly":
+        """Take over a canonical map (nonzero Fractions, symbols over universe
+        n) unchecked; like Poly(), forget n when no word but the unit is left."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._n = n if any(terms) else None
+        return p
+
+    @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._canonical({}, None)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls({(): Fraction(1)})
+        return cls._canonical({(): Fraction(1)}, None)
 
     @classmethod
     def from_symbol(cls, s: Symbol) -> "Poly":
-        return cls({(s,): Fraction(1)})
+        return cls._canonical({(s,): Fraction(1)}, s.n)
 
     @classmethod
     def term(cls, coeff: Rational, word: Word) -> "Poly":
@@ -156,10 +180,10 @@ class Poly:
                 out[w] = acc
             else:
                 out.pop(w, None)
-        return Poly(out)
+        return Poly._canonical(out, self._n or other._n)
 
     def __neg__(self) -> "Poly":
-        return Poly({w: -c for w, c in self._terms.items()})
+        return Poly._canonical({w: -c for w, c in self._terms.items()}, self._n)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -177,14 +201,15 @@ class Poly:
                     out[w] = acc
                 else:
                     out.pop(w, None)
-        return Poly(out)
+        return Poly._canonical(out, self._n or other._n)
 
     def __rmul__(self, other: Rational) -> "Poly":
         return self.scale(other)
 
     def scale(self, c: Rational) -> "Poly":
         c = Fraction(c)
-        return Poly({w: c * x for w, x in self._terms.items()})
+        return Poly._canonical({w: c * x for w, x in self._terms.items()} if c else {},
+                               self._n)
 
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self._terms})
@@ -204,7 +229,8 @@ class Poly:
     def graded_component(self, d: int) -> "Poly":
         if d < 0:
             raise ValueError("degree must be >= 0")
-        return Poly({w: c for w, c in self._terms.items() if len(w) == d})
+        return Poly._canonical({w: c for w, c in self._terms.items() if len(w) == d},
+                               self._n)
 
     def symbols(self) -> set[Symbol]:
         return {s for w in self._terms for s in w}
@@ -227,20 +253,26 @@ def commutator(p: Poly, q: Poly) -> Poly:
 def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
     """Apply the algebra homomorphism sending each symbol to its image."""
     out: dict[Word, Fraction] = {}
+    universes = set()
     for w, c in p._terms.items():
-        acc = Poly({(): c})
+        acc = Poly._canonical({(): c}, None)
         for s in w:
             img = images.get(s)
             if img is None:
                 raise ValueError(f"no image for symbol {s}")
             acc = acc * img
+        universes.add(acc._n)
         for w2, c2 in acc._terms.items():
             out[w2] = out.get(w2, 0) + c2
-    return Poly(out)
+    universes.discard(None)
+    if len(universes) > 1:
+        return Poly(out)  # images over two universes: the checks decide
+    return Poly._canonical({w: c for w, c in out.items() if c},
+                           universes.pop() if universes else None)
 
 
 def enumerate_monomials(alphabet: Iterable[Symbol], d: int,
-                        key: Callable[[Symbol], tuple] = symbol_key) -> list[Word]:
+                        key: Callable[[Symbol], int] = symbol_key) -> list[Word]:
     """All words of length d over the alphabet, in canonical order."""
     if d < 0:
         raise ValueError("degree must be >= 0")

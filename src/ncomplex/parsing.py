@@ -16,49 +16,62 @@ emitted by poly_text parses back to an equal polynomial.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .complexes import NodeSet
 from .free_algebra import Poly, commutator, u, z
 
+#: refuse expressions that nest '(' and '[' deeper than this
+NESTING_CAP = 100
+
+#: one token per match, after any whitespace: a whole generator written
+#: without inner spaces, an integer, any other single character, or the end
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<sym>u\(\{(\d+(?:,\d+)*)?\}\)|z\(\{(\d+(?:,\d+)*)?\},(\d+)\))
+  | (?P<int>\d+) | (?P<ch>\S) | \Z)""", re.VERBOSE)
+
 
 class _Parser:
+    """Recursive descent over tokens.  ``tok`` is the current token's text
+    ("" at the end) and ``pos`` its position; a generator written with
+    spaces inside, or a malformed one, is read token by token instead."""
+
     def __init__(self, text: str, n: int):
         self.text = text
         self.n = n
-        self.pos = 0
+        self.depth = 0
+        self.end = 0
+        self.advance()
+
+    def advance(self) -> None:
+        m = self.match = _TOKEN.match(self.text, self.end)
+        self.kind = m.lastgroup
+        self.pos = m.start(self.kind) if self.kind else m.end()
+        self.end = m.end()
+        self.tok = self.text[self.pos:self.end]
 
     def error(self, expected: str) -> ValueError:
         return ValueError(
             f"parse error at position {self.pos}: expected {expected} "
             f"(near {self.text[self.pos:self.pos + 12]!r})")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, ch: str) -> None:
-        if self.peek() != ch:
+        if self.tok != ch:
             raise self.error(f"{ch!r}")
-        self.pos += 1
+        self.advance()
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        if self.kind != "int":
             raise self.error("an integer")
-        return int(self.text[start:self.pos])
+        value = int(self.tok)
+        self.advance()
+        return value
 
     def rational(self) -> Fraction:
         num = self.integer()
-        if self.peek() == "/":
-            self.pos += 1
+        if self.tok == "/":
+            self.advance()
             den = self.integer()
             if den == 0:
                 raise ValueError("zero denominator in coefficient")
@@ -68,77 +81,84 @@ class _Parser:
     def node_set(self) -> NodeSet:
         self.take("{")
         members = []
-        if self.peek() != "}":
+        if self.tok != "}":
             members.append(self.integer())
-            while self.peek() == ",":
-                self.pos += 1
+            while self.tok == ",":
+                self.advance()
                 members.append(self.integer())
         self.take("}")
         return NodeSet.of(members, self.n)
 
     def symbol(self) -> Poly:
-        kind = self.peek()
-        self.pos += 1
-        self.take("(")
-        a = self.node_set()
-        if kind == "z":
-            self.take(",")
-            i = self.integer()
+        kind, i = self.tok[0], None
+        if self.kind == "sym":
+            u_set, z_set, i = self.match.group(2, 3, 4)
+            members = [int(v) for v in (u_set or z_set or "").split(",") if v]
+            a = NodeSet.of(members, self.n)
+            self.advance()
+        else:
+            self.advance()
+            self.take("(")
+            a = self.node_set()
+            if kind == "z":
+                self.take(",")
+                i = self.integer()
             self.take(")")
-            return Poly.from_symbol(z(a, i))
-        self.take(")")
-        if a.is_empty:
-            return Poly.one()
-        return Poly.from_symbol(u(a))
+        if kind == "z":
+            return Poly.from_symbol(z(a, int(i)))
+        return Poly.one() if a.is_empty else Poly.from_symbol(u(a))
 
     def factor(self) -> Poly:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        ch = self.tok
+        if ch in ("(", "["):
+            self.depth += 1
+            if self.depth > NESTING_CAP:
+                raise ValueError(f"expression nests '(' and '[' deeper than "
+                                 f"{NESTING_CAP} levels (at position {self.pos})")
+            self.advance()
             p = self.expr()
-            self.take(")")
+            if ch == "[":
+                self.take(",")
+                p = commutator(p, self.expr())
+            self.take(")" if ch == "(" else "]")
+            self.depth -= 1
             return p
-        if ch == "[":
-            self.pos += 1
-            p = self.expr()
-            self.take(",")
-            q = self.expr()
-            self.take("]")
-            return commutator(p, q)
-        if ch in ("u", "z"):
+        if self.kind == "sym" or ch in ("u", "z"):
             return self.symbol()
-        if ch.isdigit():
+        if self.kind == "int":
             return Poly({(): self.rational()})
         raise self.error("a coefficient, generator, '[' or '('")
 
     def term(self) -> Poly:
         p = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
+        while self.tok == "*":
+            self.advance()
             p = p * self.factor()
         return p
 
     def expr(self) -> Poly:
-        negate = False
-        if self.peek() == "-":
-            self.pos += 1
-            negate = True
-        p = self.term()
+        """Adds the signed terms into one map."""
+        negate = self.tok == "-"
         if negate:
-            p = -p
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            self.advance()
+        out = {}
+        while True:
+            for w, c in self.term()._terms.items():
+                acc = out.get(w, 0) + (-c if negate else c)
+                if acc:
+                    out[w] = acc
+                else:
+                    out.pop(w, None)
+            if self.tok not in ("+", "-"):
+                return Poly._canonical(out, self.n)
+            negate = self.tok == "-"
+            self.advance()
 
 
 def parse_poly(text: str, n: int) -> Poly:
     """Parse an expression over the universe {1..n}."""
     parser = _Parser(text, n)
     p = parser.expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
+    if parser.kind is not None:
         raise parser.error("end of input")
     return p

@@ -71,7 +71,7 @@ def rel_multiplicative(a: NodeSet, i: int, j: int) -> Poly:
 def _subset_sum(a: NodeSet, *top: int) -> Poly:
     """The sum of u(D + top) over all D inside A."""
     t = NodeSet.of(top, a.n)
-    return Poly({(u(d | t),): Fraction(1) for d in a.subsets()})
+    return Poly._canonical({(u(d | t),): Fraction(1) for d in a.subsets()}, a.n)
 
 
 def z_in_u(a: NodeSet, i: int) -> Poly:

@@ -123,7 +123,7 @@ class TruncatedIdealBasis:
     """
 
     def __init__(self, presentation: Presentation, max_degree: int,
-                 key: Callable[[Symbol], tuple] = symbol_key):
+                 key: Callable[[Symbol], int] = symbol_key):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.presentation = presentation
@@ -190,7 +190,7 @@ class TruncatedIdealBasis:
         if deg > self.max_degree:
             raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
         vec = {_word_index(w, self._sym_index, self.k): _exact(c)
-               for w, c in q.terms.items()}
+               for w, c in q._terms.items()}
         return deg, vec
 
     def contains(self, q: Poly) -> bool:
@@ -206,7 +206,8 @@ class TruncatedIdealBasis:
         if not vec:
             return Poly.zero()
         rem = self.slices[deg].reduce(vec)
-        return Poly({_index_word(c, self.letters, deg): x for c, x in rem.items()})
+        return Poly._canonical({_index_word(c, self.letters, deg): Fraction(x)
+                                for c, x in rem.items()}, q._n)
 
     def rank(self, e: int) -> int:
         return self.slices[e].rank
@@ -226,6 +227,6 @@ class TruncatedIdealBasis:
 
 
 def graded_dimension(p: Presentation, d: int,
-                     key: Callable[[Symbol], tuple] = symbol_key) -> list[int]:
+                     key: Callable[[Symbol], int] = symbol_key) -> list[int]:
     """Quotient dimensions at degrees 0..d."""
     return TruncatedIdealBasis(p, d, key=key).dimensions()

@@ -113,13 +113,13 @@ def _additive_echelon(n: int) -> tuple[Echelon, dict]:
     index = {s: k for k, s in enumerate(letters)}
     ech = Echelon()
     for a, i, j in _instances(n):
-        vec = {index[w[0]]: c for w, c in rel_additive(a, i, j).terms.items()}
+        vec = {index[w[0]]: c for w, c in rel_additive(a, i, j)._terms.items()}
         ech.insert(vec)
     return ech, index
 
 
 def _linear_coords(p: Poly, index: dict) -> dict[int, Fraction]:
-    return {index[w[0]]: c for w, c in p.terms.items()}
+    return {index[w[0]]: c for w, c in p._terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,15 @@ class TestMembershipCommand:
                                     "u({1}", "--max-degree", "2"])
         assert code == 2 and "parse error" in err
 
+    @pytest.mark.parametrize("poly", ["(" * 1200 + "u({1})" + ")" * 1200,
+                                      "[" * 1200 + "u({1})" + ",u({2})]" * 1200])
+    def test_deep_nesting_exit_2(self, capsys, path3, poly):
+        code, out, err = run(capsys, ["membership", "--complex", path3, "--poly",
+                                      poly, "--max-degree", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "deeper than" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_documented_invocation(self, capsys):

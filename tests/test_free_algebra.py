@@ -20,6 +20,7 @@ from ncomplex.free_algebra import (
     z,
 )
 from ncomplex.parsing import parse_poly
+from ncomplex.presentations import all_u_symbols, all_z_symbols
 
 
 def us(*elems, n=3):
@@ -55,6 +56,55 @@ class TestSymbols:
         syms = [u(a), u(b), u(ab), z(a, 2), z(b, 1)]
         assert (sorted(syms, key=symbol_key)
                 == list(reversed(sorted(syms, key=reversed_symbol_key))))
+
+
+def old_symbol_key(s):
+    """The tuple the canonical order was first written as."""
+    if s.kind == "z":
+        return (0, s.a.size, s.a.elements, s.i)
+    return (1, s.a.size, s.a.elements, 0)
+
+
+def old_reversed_symbol_key(s):
+    k = old_symbol_key(s)
+    return (-k[0], -k[1], tuple(-e for e in k[2]), -k[3])
+
+
+class TestSymbolIdentity:
+    def test_equal_symbols_built_apart(self):
+        a, b = z(NodeSet.of((1, 3), 4), 2), z(NodeSet.of((3, 1), 4), 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert u(NodeSet.of((1, 2), 3)) == u(NodeSet.of((2, 1), 3))
+        assert len({a, b}) == 1
+
+    def test_unequal_symbols(self):
+        a = NodeSet.of((1,), 3)
+        assert z(a, 2) != u(a) and z(a, 2) != u(NodeSet.of((1, 2), 3))
+        assert z(a, 2) != z(a, 3)
+        # the same bits under another universe
+        assert u(a) != u(NodeSet.of((1,), 4))
+        assert z(a, 2) != z(NodeSet.of((1,), 4), 2)
+        assert u(a) != "u({1})" and u(a) != a
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orders_unchanged(self, n):
+        syms = all_z_symbols(n) + all_u_symbols(n)
+        random.Random(n).shuffle(syms)
+        assert sorted(syms, key=symbol_key) == sorted(syms, key=old_symbol_key)
+        assert (sorted(syms, key=reversed_symbol_key)
+                == sorted(syms, key=old_reversed_symbol_key))
+
+    def test_orders_unchanged_at_the_universe_cap(self):
+        rng = random.Random(16)
+        syms = set()
+        while len(syms) < 400:
+            a = NodeSet(16, rng.randrange(1, 1 << 16) & rng.randrange(1 << 16) or 1)
+            outside = [i for i in range(1, 17) if i not in a]
+            syms.add(z(a, rng.choice(outside)) if outside and rng.random() < 0.5 else u(a))
+        syms = list(syms)
+        assert sorted(syms, key=symbol_key) == sorted(syms, key=old_symbol_key)
+        assert (sorted(syms, key=reversed_symbol_key)
+                == sorted(syms, key=old_reversed_symbol_key))
 
 
 class TestArithmetic:
@@ -94,6 +144,85 @@ class TestArithmetic:
             us(1, n=2) * us(1, n=3)
         with pytest.raises(ValueError, match="mixed universes"):
             us(1, n=2) + us(1, n=3)
+
+
+    def test_mixed_universe_after_cancellation(self):
+        # a result left with only the unit word forgets its universe, as a
+        # Poly built by the checking constructor does
+        only_constant = (us(1) + Poly.one()) - us(1)
+        assert only_constant + us(1, n=4) == Poly.one() + us(1, n=4)
+        with pytest.raises(ValueError, match="mixed universes: n=3 vs n=4"):
+            (us(1) + Poly.one()) - us(1, n=4)
+        with pytest.raises(ValueError, match="mixed universes: n=4 vs n=3"):
+            (3 * us(1, n=4)).graded_component(1) * us(2)
+
+
+def assert_canonical(p):
+    """p equals the same map rebuilt through the checking constructor."""
+    rebuilt = Poly(p.terms)
+    assert rebuilt.terms == p.terms
+    assert rebuilt._n == p._n
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+class TestTrustedResults:
+    """Arithmetic builds its results without re-checking them; each must be
+    what the checking constructor would have made."""
+
+    LETTERS = all_z_symbols(3) + all_u_symbols(3)
+
+    def small_poly(self, rng, max_degree=2):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            w = tuple(rng.choice(self.LETTERS) for _ in range(rng.randint(0, max_degree)))
+            terms[w] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return Poly(terms)
+
+    def test_random_operation_sequences(self):
+        rng = random.Random(2024)
+        pool = [Poly.zero(), Poly.one(), us(1), self.small_poly(rng)]
+        for _ in range(600):
+            p, q = rng.choice(pool), rng.choice(pool)
+            op = rng.randrange(7)
+            if op == 0:
+                r = p + q
+            elif op == 1:
+                r = p - q
+            elif op == 2:
+                r = -p
+            elif op == 3:
+                r = p * q
+            elif op == 4:
+                r = p.scale(rng.choice([0, 1, -2, Fraction(3, 4), Fraction(-1, 5)]))
+            elif op == 5:
+                r = p.graded_component(rng.randint(0, 4))
+            else:
+                images = {s: self.small_poly(rng, max_degree=1) for s in self.LETTERS}
+                r = substitute(p, images)
+            assert_canonical(r)
+            # a cancellation must leave the zero polynomial behind
+            assert_canonical(r - r)
+            assert r - r == Poly.zero()
+            if len(r.terms) <= 12 and max(r.degrees(), default=0) <= 4:
+                pool.append(r)
+
+    def test_mixing_universes_still_raises(self):
+        p3 = us(1) * us(2) + us(3)
+        p4 = us(1, n=4) + 1 * us(4, n=4)
+        for op in (lambda: p3 + p4, lambda: p3 - p4, lambda: p3 * p4,
+                   lambda: p4 * p3, lambda: p4 - p3):
+            with pytest.raises(ValueError, match="mixed universes"):
+                op()
+
+    def test_substitute_into_two_universes_raises(self):
+        s1, s2 = u(NodeSet.of((1,), 3)), u(NodeSet.of((2,), 3))
+        p = Poly.from_symbol(s1) + Poly.from_symbol(s2)
+        with pytest.raises(ValueError, match="mixed universes"):
+            substitute(p, {s1: us(1), s2: us(1, n=4)})
+        # images that cancel away leave no universe to clash with
+        s3 = u(NodeSet.of((3,), 3))
+        q = p - Poly.from_symbol(s3)
+        assert substitute(q, {s1: us(1), s2: us(1, n=4), s3: us(1, n=4)}) == us(1)
 
 
 class TestCommutator:

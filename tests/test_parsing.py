@@ -6,7 +6,7 @@ import pytest
 
 from ncomplex.complexes import NodeSet
 from ncomplex.free_algebra import Poly, commutator, u, z
-from ncomplex.parsing import parse_poly
+from ncomplex.parsing import NESTING_CAP, parse_poly
 
 
 def us(*elems, n=3):
@@ -44,6 +44,13 @@ def test_leading_minus_and_constants():
     assert parse_poly("2/4", 3) == Poly({(): Fraction(1, 2)})
 
 
+def test_cancelling_terms():
+    p = parse_poly("u({1})*u({2}) + 1/2 - u({1})*u({2}) + z({},3) - z({},3)", 3)
+    assert p.terms == {(): Fraction(1, 2)}
+    # only the unit word is left, so no universe: n=4 terms may be added
+    assert p + us(1, n=4) == Poly({(): Fraction(1, 2)}) + us(1, n=4)
+
+
 def test_scalar_products():
     assert parse_poly("2*3*u({1})", 3) == 6 * us(1)
 
@@ -59,3 +66,52 @@ def test_errors():
         parse_poly("1/0", 3)
     with pytest.raises(ValueError, match="requires 1 not in"):
         parse_poly("z({1},1)", 3)
+
+
+# the exact messages of the character-level parser this one replaced
+ERROR_MESSAGES = [
+    ("u({1}) +",
+     "parse error at position 8: expected a coefficient, generator, '[' or '(' (near '')"),
+    ("2 u({1})", "parse error at position 2: expected end of input (near 'u({1})')"),
+    ("z({1})", "parse error at position 5: expected ',' (near ')')"),
+    ("1/0", "zero denominator in coefficient"),
+    ("[u({1}), u({2})", "parse error at position 15: expected ']' (near '')"),
+    ("u({4})", "vertex 4 exceeds n=3"),
+    ("u({1}) )", "parse error at position 7: expected end of input (near ')')"),
+    ("u({1,})", "parse error at position 5: expected an integer (near '})')"),
+    ("u({1},2)", "parse error at position 5: expected ')' (near ',2)')"),
+    ("3/ u({1})", "parse error at position 3: expected an integer (near 'u({1})')"),
+    ("", "parse error at position 0: expected a coefficient, generator, '[' or '(' (near '')"),
+    ("u({1}) * x",
+     "parse error at position 9: expected a coefficient, generator, '[' or '(' (near 'x')"),
+    ("z({1},9)", "index 9 outside 1..3"),
+    ("[u({1}) u({2})]", "parse error at position 8: expected ',' (near 'u({2})]')"),
+]
+
+
+@pytest.mark.parametrize("text,message", ERROR_MESSAGES)
+def test_error_messages_frozen(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_poly(text, 3)
+    assert str(info.value) == message
+
+
+def test_spaces_inside_generators():
+    assert parse_poly(" u ( { 1 , 2 } ) * z( {} ,3 ) ", 3) == parse_poly("u({1,2})*z({},3)", 3)
+
+
+def nested(depth, open_, inner, close):
+    return open_ * depth + inner + close * depth
+
+
+@pytest.mark.parametrize("open_,inner,close,value", [
+    ("(", "u({1})", ")", us(1)),
+    # [[u1,u1],u1] ...: every commutator is 0, so nothing grows
+    ("[", "u({1})", ",u({1})]", Poly.zero()),
+])
+def test_nesting_cap(open_, inner, close, value):
+    # one '[' nests as one level, like one '('
+    assert parse_poly(nested(NESTING_CAP, open_, inner, close), 3) == value
+    for depth in (NESTING_CAP + 1, 1200):
+        with pytest.raises(ValueError, match=f"deeper than {NESTING_CAP} levels"):
+            parse_poly(nested(depth, open_, inner, close), 3)
