@@ -117,7 +117,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_membership(args) -> int:
     c = parse_complex_file(args.complex)
-    p = parse_poly(args.poly, c.n)
+    p = parse_poly(args.poly, c.n, max_degree=args.max_degree)
     over = [d for d in p.degrees() if d > args.max_degree]
     if over:
         raise ValueError(f"polynomial has degree {over[0]} > --max-degree {args.max_degree}")

@@ -10,8 +10,9 @@ Grammar (whitespace-insensitive)::
     rational   := int ['/' int]
 
 ``[p,q]`` is the commutator pq - qp.  The universe size n is supplied by the
-caller (the CLI takes it from the complex file).  The canonical text form
-emitted by poly_text parses back to an equal polynomial.
+caller (the CLI takes it from the complex file), and so is an optional bound
+on the degree of every product (the CLI passes ``--max-degree``).  The
+canonical text form emitted by poly_text parses back to an equal polynomial.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class _Parser:
     ("" at the end) and ``pos`` its position; a generator written with
     spaces inside, or a malformed one, is read token by token instead."""
 
-    def __init__(self, text: str, n: int):
+    def __init__(self, text: str, n: int, max_degree: int | None):
         self.text = text
         self.n = n
+        self.max_degree = max_degree
         self.depth = 0
         self.end = 0
         self.advance()
@@ -55,6 +57,15 @@ class _Parser:
         return ValueError(
             f"parse error at position {self.pos}: expected {expected} "
             f"(near {self.text[self.pos:self.pos + 12]!r})")
+
+    def check_product(self, p: Poly, q: Poly) -> None:
+        """Refuse p * q above the degree bound before multiplying.  The free
+        algebra is a domain, so its degree is the sum of the factors'."""
+        if p and q:
+            deg = max(map(len, p._terms)) + max(map(len, q._terms))
+            if deg > self.max_degree:
+                raise ValueError(f"polynomial has a product of degree {deg} "
+                                 f"> --max-degree {self.max_degree}")
 
     def take(self, ch: str) -> None:
         if self.tok != ch:
@@ -119,7 +130,10 @@ class _Parser:
             p = self.expr()
             if ch == "[":
                 self.take(",")
-                p = commutator(p, self.expr())
+                q = self.expr()
+                if self.max_degree is not None:
+                    self.check_product(p, q)
+                p = commutator(p, q)
             self.take(")" if ch == "(" else "]")
             self.depth -= 1
             return p
@@ -133,7 +147,10 @@ class _Parser:
         p = self.factor()
         while self.tok == "*":
             self.advance()
-            p = p * self.factor()
+            q = self.factor()
+            if self.max_degree is not None:
+                self.check_product(p, q)
+            p = p * q
         return p
 
     def expr(self) -> Poly:
@@ -155,9 +172,11 @@ class _Parser:
             self.advance()
 
 
-def parse_poly(text: str, n: int) -> Poly:
-    """Parse an expression over the universe {1..n}."""
-    parser = _Parser(text, n)
+def parse_poly(text: str, n: int, max_degree: int | None = None) -> Poly:
+    """Parse an expression over the universe {1..n}.  With ``max_degree``,
+    a product or commutator of higher degree is refused as soon as its
+    factors are read, even where it would later cancel."""
+    parser = _Parser(text, n, max_degree)
     p = parser.expr()
     if parser.kind is not None:
         raise parser.error("end of input")

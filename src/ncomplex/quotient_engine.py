@@ -8,6 +8,11 @@ word list, keeps them in triangular (distinct leading column) form, and
 answers membership, rank and quotient-basis queries from that structure.
 Coefficients stay exact, never float: int where integral, else Fraction.
 
+A product that is a one-letter shift x * r or r * y of a row r found
+dependent at the degree below depends on the rows before it too, so it is
+skipped without being reduced; the stored rows equal those of reducing every
+product.
+
 Normal forms are canonical: a reduced remainder is supported only on
 non-pivot columns, and the projection along the row space onto those
 coordinates does not depend on how the triangular basis was built.  The
@@ -110,7 +115,11 @@ def _index_word(idx: int, letters: list[Symbol], degree: int) -> Word:
 
 @dataclass(frozen=True)
 class SliceStats:
+    """Per degree: spanning products m1 * g * m2, those of them passed to
+    ``Echelon.insert`` (the others are shifts of dependent rows), and the
+    rank."""
     rows_generated: int
+    rows_reduced: int
     rank: int
 
 
@@ -158,17 +167,24 @@ class TruncatedIdealBasis:
                                  key=lambda t: (self._rel_coords[t][0], t))
         self.slices: list[Echelon] = []
         self.stats: list[SliceStats] = []
+        dependent: dict[tuple[int, int], bytearray] = {}
         for e in range(max_degree + 1):
-            self.slices.append(self._build_slice(e))
+            ech, dependent = self._build_slice(e, dependent)
+            self.slices.append(ech)
 
-    def _build_slice(self, e: int) -> Echelon:
+    def _build_slice(self, e: int, parents: dict[tuple[int, int], bytearray]
+                     ) -> tuple[Echelon, dict[tuple[int, int], bytearray]]:
+        """Echelon of the degree-e slice, and the dependent flags of its rows
+        by (relation, a).  ``parents`` holds the flags of degree e-1."""
         ech = Echelon()
         k = self.k
-        rows = 0
+        rows = reduced = 0
+        dependent = {}
         for t in self._rel_order:
             e0, coords = self._rel_coords[t]
             if e0 > e:
                 continue
+            n = k ** (e - e0)
             # m1 * w * m2 with |m1| = a, |m2| = b sits at column
             # m1 * k^(e-a) + w * k^b + m2; distinct words w give distinct
             # columns, so each row is its relation's terms shifted
@@ -176,12 +192,31 @@ class TruncatedIdealBasis:
                 b = e - e0 - a
                 kb, step = k ** b, k ** (e - a)
                 shifted = [(col * kb, c) for col, c in coords]
+                # the row with block index i = m1 * k^b + m2 is x * (its left
+                # parent) and (its right parent) * y, the degree-(e-1) rows
+                # at index i mod k^(e-e0-1) of block a-1 (m1 loses its first
+                # letter) and i div k of block a (m2 loses its last letter).
+                # Shifting by a letter keeps the generation order, so a
+                # shift of a row dependent on the rows before it is
+                # dependent too, and inserting it would change nothing.
+                left, right = parents.get((t, a - 1)), parents.get((t, a))
+                kl = n // k
+                flags = dependent[t, a] = bytearray(n)
+                i = 0
                 for m1 in range(k ** a):
                     for base in range(m1 * step, m1 * step + kb):
-                        ech.insert({base + col: c for col, c in shifted})
-                rows += k ** (e - e0)
-        self.stats.append(SliceStats(rows_generated=rows, rank=ech.rank))
-        return ech
+                        if ((left is not None and left[i % kl])
+                                or (right is not None and right[i // k])):
+                            flags[i] = 1
+                        else:
+                            reduced += 1
+                            if not ech.insert({base + col: c for col, c in shifted}):
+                                flags[i] = 1
+                        i += 1
+                rows += n
+        self.stats.append(SliceStats(rows_generated=rows, rows_reduced=reduced,
+                                     rank=ech.rank))
+        return ech, dependent
 
     def _coords(self, q: Poly) -> tuple[int, Vector]:
         deg = q.degree()

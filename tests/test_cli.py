@@ -1,6 +1,7 @@
 """Tests for the command-line front end: output bytes, exit codes, diagnostics."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -203,6 +204,22 @@ class TestMembershipCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "deeper than" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_nested_commutators_refused_while_parsing(self, capsys, path3):
+        # without the bound each level doubles the parsed polynomial
+        poly = "[" * 25 + "u({1})" + "".join(f",u({{{2 + i % 2}}})]" for i in range(25))
+        start = perf_counter()
+        code, out, err = run(capsys, ["membership", "--complex", path3, "--poly",
+                                      poly, "--max-degree", "2"])
+        assert perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: polynomial has a product of degree 3 > --max-degree 2\n"
+
+    def test_over_degree_product_refused_even_if_it_cancels(self, capsys, path3):
+        code, out, err = run(capsys, ["membership", "--complex", path3, "--poly",
+                                      "[u({1})*u({2}),u({1})*u({2})]", "--max-degree", "2"])
+        assert code == 2 and out == ""
+        assert "product of degree 4 > --max-degree 2" in err
 
 
 class TestVerifyCommand:

@@ -100,6 +100,23 @@ def test_spaces_inside_generators():
     assert parse_poly(" u ( { 1 , 2 } ) * z( {} ,3 ) ", 3) == parse_poly("u({1,2})*z({},3)", 3)
 
 
+def test_degree_bound():
+    text = "3*u({1})*u({2}) + [u({1}),u({2})] - 2*(u({1})+u({3}))*u({2})"
+    assert parse_poly(text, 3, max_degree=2) == parse_poly(text, 3)
+    for text, deg in [("u({1})*u({2})*u({3})", 3),
+                      ("(u({1}) + u({1})*u({2}))*u({3})", 3),
+                      ("[u({1})*u({2}),u({3})]", 3),
+                      ("[[u({1}),u({2})],u({3})]", 3)]:
+        with pytest.raises(ValueError, match=f"^polynomial has a product of degree {deg} "
+                                             r"> --max-degree 2$"):
+            parse_poly(text, 3, max_degree=2)
+    # the bound applies to each product as it is formed, even one whose
+    # result cancels
+    with pytest.raises(ValueError, match="product of degree 4 > --max-degree 3"):
+        parse_poly("[u({1})*u({2}),u({1})*u({2})]", 3, max_degree=3)
+    assert parse_poly("[u({1})*u({2}),u({1})*u({2})]", 3) == Poly.zero()
+
+
 def nested(depth, open_, inner, close):
     return open_ * depth + inner + close * depth
 

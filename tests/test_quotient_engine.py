@@ -5,11 +5,17 @@ scratch below: spanning rows are produced by plain polynomial multiplication
 (m1 * g * m2 over the Poly layer), laid out densely over the canonical word
 list, and rank/membership are read off the dense echelon.  The engine must
 agree with it on every tested presentation.
+
+A second oracle, ``reduce_every_product``, is the slice construction that
+passes every spanning product through ``Echelon.insert``; the engine skips
+shifts of dependent rows and must store exactly the same rows.
 """
 
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -138,6 +144,61 @@ def dense_member(pres, q):
     return dense_rank(rows) == dense_rank(rows + [target])
 
 
+# ---------------------------------------------------------------------------
+# reduce-every-product oracle
+# ---------------------------------------------------------------------------
+
+def reduce_every_product(pres, d, key=symbol_key):
+    """The degree slices built by inserting every product m1 * g * m2 into
+    an Echelon, in the engine's generation order: relations by degree (ties
+    in presentation order), then |m1|, then m1 and m2 as words.  Returns an
+    object with the engine's ``slices`` and ``(rows_generated, rank)`` per
+    degree as ``stats``."""
+    letters = sorted(pres.alphabet, key=key)
+    index = {s: p for p, s in enumerate(letters)}
+    k = len(letters)
+
+    def column(digits):
+        col = 0
+        for x in digits:
+            col = col * k + x
+        return col
+
+    rels = [(g.degree(),
+             [(tuple(index[s] for s in w), c.numerator if c.denominator == 1 else c)
+              for w, c in g.sorted_terms()])
+            for g in sorted(pres.relations, key=lambda g: g.degree())]
+    slices, stats = [], []
+    for e in range(d + 1):
+        ech, rows = Echelon(), 0
+        for e0, terms in rels:
+            if e0 > e:
+                continue
+            for a in range(e - e0 + 1):
+                for m1 in product(range(k), repeat=a):
+                    for m2 in product(range(k), repeat=e - e0 - a):
+                        ech.insert({column(m1 + w + m2): c for w, c in terms})
+                        rows += 1
+        slices.append(ech)
+        stats.append((rows, ech.rank))
+    return SimpleNamespace(slices=slices, stats=stats)
+
+
+def typed_rows(echelons):
+    """Every stored entry with its type, so int and Fraction differ."""
+    return [sorted((piv, c, type(x), x) for piv, row in ech.pivots.items()
+                   for c, x in row.items()) for ech in echelons]
+
+
+def assert_same_construction(pres, d, key):
+    basis = TruncatedIdealBasis(pres, d, key=key)
+    oracle = reduce_every_product(pres, d, key)
+    assert row_digest(basis) == row_digest(oracle)
+    assert typed_rows(basis.slices) == typed_rows(oracle.slices)
+    assert [(s.rows_generated, s.rank) for s in basis.stats] == oracle.stats
+    assert all(s.rank <= s.rows_reduced <= s.rows_generated for s in basis.stats)
+
+
 SMALL_CASES = [
     (qn_presentation(2, "u"), 2),
     (qn_presentation(2, "z"), 2),
@@ -187,6 +248,28 @@ class TestAgainstDenseOracle:
                 # q minus its remainder must lie in the ideal
                 member = q - basis.reduce(q)
                 assert not member or dense_member(pres, member)
+
+
+ORACLE_CASES = [
+    # degree-1 kill relations on u({1,3}) and u({1,2,3})
+    (qF_presentation(closure([{1, 2}, {2, 3}], 3)), 3),
+    # z-form Q_2 mixes degree-1 and degree-2 relations
+    (qn_presentation(2, "z"), 4),
+    # non-unit and non-integral leading coefficients: Fraction pivots
+    (mixed_presentation(), 4),
+    # degree 4 is the first where a row of a quadratic relation has both a
+    # left and a right parent
+    (graph_presentation(complete_graph(4)), 4),
+]
+
+
+class TestAgainstReduceEveryProduct:
+    @pytest.mark.parametrize("key", [symbol_key, reversed_symbol_key],
+                             ids=["symbol_key", "reversed_symbol_key"])
+    @pytest.mark.parametrize("pres,d", ORACLE_CASES,
+                             ids=[p.label for p, _ in ORACLE_CASES])
+    def test_same_rows_and_stats(self, pres, d, key):
+        assert_same_construction(pres, d, key)
 
 
 class TestTrivialExamples:
@@ -276,6 +359,18 @@ class TestEngineProperties:
         # (e - deg g + 1) * k^(e - deg g); the ranks are frozen values
         basis = TruncatedIdealBasis(pres, d)
         assert [(s.rows_generated, s.rank) for s in basis.stats] == expected
+
+    @pytest.mark.parametrize("pres,d,expected", [
+        (qF_presentation(closure([[1, 2], [2, 3], [3, 4]], 4)), 3, [0, 8, 288, 4038]),
+        (qn_presentation(3, "u"), 4, [0, 0, 12, 70, 721]),
+        (graph_presentation(cycle_graph(4)), 4, [0, 0, 32, 256, 2944]),
+    ], ids=["qF-P4", "Q3-u", "graph-C4"])
+    def test_rows_reduced(self, pres, d, expected):
+        # rows passed to Echelon.insert: the others are one-letter shifts of
+        # rows found dependent at the degree below
+        basis = TruncatedIdealBasis(pres, d)
+        assert [s.rows_reduced for s in basis.stats] == expected
+        assert all(s.rank <= s.rows_reduced <= s.rows_generated for s in basis.stats)
 
     @pytest.mark.parametrize("pres,expected", [
         (qn_presentation(3, "u"),
