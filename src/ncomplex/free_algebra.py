@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .complexes import NodeSet
 
-#: refuse to enumerate more words than this (guards |alphabet|**d blowups)
+#: refuse more words than this over degrees 0..d (guards |alphabet|**d blowups)
 MONOMIAL_CAP = 10**7
 
 Rational = Fraction | int
@@ -101,9 +101,9 @@ def reversed_symbol_key(s: Symbol) -> int:
 Word = tuple[Symbol, ...]
 
 
-def word_key(w: Word, key: Callable[[Symbol], int] = symbol_key) -> tuple:
+def word_key(w: Word) -> tuple:
     """Degree-first, then lexicographic by the symbol order."""
-    return (len(w), tuple(map(key, w)))
+    return (len(w), tuple(map(symbol_key, w)))
 
 
 class Poly:
@@ -271,17 +271,31 @@ def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
                            universes.pop() if universes else None)
 
 
-def enumerate_monomials(alphabet: Iterable[Symbol], d: int,
-                        key: Callable[[Symbol], int] = symbol_key) -> list[Word]:
+def _check_word_count(k: int, d: int) -> None:
+    """Refuse when the words of degrees 0..d over k letters, the sum of k^e,
+    exceed MONOMIAL_CAP.  Summing stops once past the cap, so the cost does
+    not grow with d."""
+    if k < 2:
+        total = d + 1 if k else 1
+    else:
+        total, words = 0, 1
+        for _ in range(d + 1):
+            total += words
+            if total > MONOMIAL_CAP:
+                break
+            words *= k
+    if total > MONOMIAL_CAP:
+        raise ValueError(f"{k}^{d} words exceed the monomial cap {MONOMIAL_CAP}")
+
+
+def enumerate_monomials(alphabet: Iterable[Symbol], d: int) -> list[Word]:
     """All words of length d over the alphabet, in canonical order."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    letters = sorted(alphabet, key=key)
+    letters = sorted(alphabet, key=symbol_key)
     if not letters:
         raise ValueError("alphabet must be nonempty")
-    if len(letters) ** d > MONOMIAL_CAP:
-        raise ValueError(
-            f"{len(letters)}^{d} words exceed the monomial cap {MONOMIAL_CAP}")
+    _check_word_count(len(letters), d)
     return [tuple(w) for w in product(letters, repeat=d)]
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .free_algebra import MONOMIAL_CAP, Poly, Rational, Symbol, Word, symbol_key
+from .free_algebra import Poly, Rational, Symbol, Word, _check_word_count, symbol_key
 from .presentations import Presentation
 
 #: refuse slices whose spanning rows would hold more nonzeros than this
@@ -140,9 +140,7 @@ class TruncatedIdealBasis:
         self.key = key
         self.letters = sorted(presentation.alphabet, key=key)
         self.k = len(self.letters)
-        if self.k ** max_degree > MONOMIAL_CAP:
-            raise ValueError(
-                f"{self.k}^{max_degree} words exceed the monomial cap {MONOMIAL_CAP}")
+        _check_word_count(self.k, max_degree)
         self._sym_index = {s: p for p, s in enumerate(self.letters)}
         # each relation as (degree, [(column of word, coefficient)]), in
         # sorted_terms order

@@ -6,6 +6,7 @@ from time import perf_counter
 import pytest
 
 from ncomplex.cli import main, parse_complex_file
+from ncomplex.free_algebra import Poly
 
 
 @pytest.fixture
@@ -105,6 +106,27 @@ class TestRelationsCommand:
         assert code == 0
         assert len(out.rstrip("\n").split("\n")) == 9
 
+    @pytest.mark.parametrize("argv,log2_words", [
+        (["--family", "4", "--n", "11", "--A", "3,4,5,6,7,8,9,10,11"], 20),
+        (["--family", "5", "--n", "16", "--A", ",".join(map(str, range(3, 17)))], 30),
+        (["--family", "9", "--n", "16", "--A", ",".join(map(str, range(3, 12))),
+          "--B", ",".join(map(str, range(1, 10)))], 19),
+    ], ids=["4-A9", "5-A14", "9-A9-B9"])
+    def test_big_sets_refused_before_building(self, capsys, argv, log2_words):
+        start = perf_counter()
+        code, out, err = run(capsys, ["relations", *argv, "--i", "1", "--j", "2"])
+        assert perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"about 2^{log2_words} words, over the cap 262144" in err
+
+    def test_largest_accepted_set(self, capsys, monkeypatch):
+        # |A| = 8 is about 2^18 words, at the cap; a stub stands in for the
+        # seconds-long expansion
+        monkeypatch.setattr("ncomplex.cli.rel_4", lambda a, i, j: Poly.one())
+        code, out, _ = run(capsys, ["relations", "--family", "4", "--n", "10",
+                                    "--A", "3,4,5,6,7,8,9,10", "--i", "1", "--j", "2"])
+        assert code == 0 and out == "1\n"
+
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, ["relations", "--family", "4", "--n", "2"])
         assert code == 2 and "requires" in err
@@ -156,6 +178,28 @@ class TestHilbertCommand:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+    def test_huge_degree_refused_fast(self, capsys, path3, tmp_path):
+        # neither k^d nor a loop over the degrees is evaluated
+        one = tmp_path / "one.json"
+        one.write_text('{"n": 1, "facets": []}')
+        for argv, msg in [
+                (["hilbert", "--complex", path3, "--max-degree", "100000000"],
+                 "7^100000000 words"),
+                (["hilbert", "--complex", path3, "--max-degree", "100000000",
+                  "--presentation", "graph"], "5^100000000 words"),
+                (["hilbert", "--complex", str(one), "--max-degree", "100000000"],
+                 "1^100000000 words"),
+                (["membership", "--complex", path3, "--poly", "u({1})",
+                  "--max-degree", "100000000"], "7^100000000 words"),
+                (["verify", "--n", "2", "--checks", "commutative_case",
+                  "--max-degree", "100000000"], "3^100000000 words")]:
+            start = perf_counter()
+            code, out, err = run(capsys, argv)
+            assert perf_counter() - start < 1.0, argv
+            assert code == 2 and out == ""
+            assert err == f"error: {msg} exceed the monomial cap 10000000\n"
 
 
 class TestMembershipCommand:
@@ -263,6 +307,11 @@ class TestVerifyCommand:
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, ["verify", "--n", "2", "--checks", "nope"])
         assert code == 2 and "unknown check" in err
+
+    def test_empty_check_list(self, capsys):
+        code, out, err = run(capsys, ["verify", "--n", "2", "--checks", ","])
+        assert code == 2 and out == ""
+        assert "no checks selected" in err
 
     def test_json_determinism_modulo_millis(self, capsys):
         argv = ["verify", "--n", "2", "--checks", "corollary", "--format", "json"]

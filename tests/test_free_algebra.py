@@ -313,6 +313,12 @@ class TestEnumerateMonomials:
         with pytest.raises(ValueError, match="cap"):
             enumerate_monomials(letters, 7)
 
+    def test_cap_counts_every_degree(self):
+        # one letter has one word per degree, so a huge degree is refused, at
+        # once, before any word is built
+        with pytest.raises(ValueError, match="1\\^100000000 words exceed"):
+            enumerate_monomials([u(NodeSet.of((1,), 1))], 10 ** 8)
+
     def test_empty_alphabet(self):
         with pytest.raises(ValueError, match="nonempty"):
             enumerate_monomials([], 1)

@@ -7,9 +7,12 @@ truncated quadratic against an explicit kill-substitution of the commutator
 form.
 """
 
+from itertools import combinations, permutations
+
 import pytest
 
 from ncomplex.complexes import (
+    Graph,
     NodeSet,
     closure,
     complete_graph,
@@ -270,6 +273,18 @@ class TestTheoremRelations:
         expected = (commutator(up(1, 2), up(2, 3)) + commutator(up(1, 2), up(3))
                     + commutator(up(1), up(2, 3)))
         assert got == expected
+
+    def test_every_triple_relation_is_listed(self):
+        # the verifier checks theorem_relations(g) only, so it must hold every
+        # nonzero triple relation instance
+        for n in range(1, 5):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for mask in range(2 ** len(pairs)):
+                g = Graph.from_edges([e for b, e in enumerate(pairs) if mask >> b & 1], n)
+                rels = theorem_relations(g)
+                for i, j, k in permutations(range(1, n + 1), 3):
+                    r = theorem_rel_ii(i, j, k, g)
+                    assert not r or r in rels, (str(g), i, j, k)
 
     def test_counts(self):
         assert len(theorem_relations(path_graph(3))) == 9

@@ -13,6 +13,7 @@ shifts of dependent rows and must store exactly the same rows.
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -38,10 +39,13 @@ from ncomplex.free_algebra import (
 )
 from ncomplex.presentations import (
     Presentation,
+    _instances,
+    all_z_symbols,
     graph_presentation,
     qF_presentation,
     qn_presentation,
     rel_4,
+    rel_additive,
 )
 from ncomplex.quotient_engine import (
     Echelon,
@@ -49,7 +53,6 @@ from ncomplex.quotient_engine import (
     _index_word,
     graded_dimension,
 )
-from ncomplex.verifier import _additive_echelon
 
 
 def ns(*elems, n=3):
@@ -389,10 +392,17 @@ class TestEngineProperties:
         assert rem and all(type(c) is Fraction for c in rem.terms.values())
 
     def test_additive_echelon_stores_ints(self):
-        # the verifier inserts Fraction vectors; integral entries still come
-        # out as int
-        ech, _ = _additive_echelon(3)
-        assert ech.rank and all(type(x) is int for x in stored_entries([ech]))
+        # vectors of integral Fractions inserted straight into an Echelon
+        # still come out as int
+        letters = sorted(all_z_symbols(3), key=symbol_key)
+        index = {s: c for c, s in enumerate(letters)}
+        ech = Echelon()
+        for a, i, j in _instances(3):
+            vec = {index[w[0]]: c for w, c in rel_additive(a, i, j).terms.items()}
+            assert all(type(c) is Fraction for c in vec.values())
+            ech.insert(vec)
+        assert len(letters) - ech.rank == 7
+        assert all(type(x) is int for x in stored_entries([ech]))
 
     def test_soundness_of_stored_rows(self):
         # every stored pivot row, read back as a polynomial, must lie in the
@@ -464,6 +474,24 @@ class TestErrors:
         pres = qn_presentation(4, "u")  # 15 letters
         with pytest.raises(ValueError, match="cap"):
             TruncatedIdealBasis(pres, 7)
+
+    def test_monomial_cap_counts_every_degree(self):
+        # the words of degrees 0..d are counted: 2^23 - 1 fit, 2^24 - 1 do not
+        two = Presentation("free", (u(ns(1, n=2)), u(ns(2, n=2))), ())
+        assert TruncatedIdealBasis(two, 22).dimension(22) == 2 ** 22
+        with pytest.raises(ValueError, match="2\\^23 words exceed"):
+            TruncatedIdealBasis(two, 23)
+
+    def test_monomial_cap_on_one_letter(self):
+        # one letter has one word per degree; 10^7 + 1 degrees are refused at
+        # once, without a loop over them
+        one = Presentation("free", (u(ns(1, n=1)),), ())
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1\\^10000000 words exceed"):
+            TruncatedIdealBasis(one, 10 ** 7)
+        with pytest.raises(ValueError, match="1\\^100000000 words exceed"):
+            TruncatedIdealBasis(one, 10 ** 8)
+        assert time.perf_counter() - start < 1.0
 
     def test_entry_cap_refused_before_any_slice_is_built(self, monkeypatch):
         def insert(self, vec):

@@ -15,6 +15,7 @@ from ncomplex.complexes import (
     path_graph,
     star_graph,
 )
+from ncomplex.free_algebra import Poly, z
 from ncomplex.presentations import qF_presentation
 from ncomplex.quotient_engine import graded_dimension
 from ncomplex.verifier import (
@@ -43,6 +44,20 @@ class TestBasisLemma:
         assert r.passed
         assert r.witness["z_dim"] == dim
         assert r.witness["independent_u"] == dim
+
+    @pytest.mark.parametrize("image,independent", [
+        (Poly.from_symbol(z(NodeSet.of((), 4), 1)), 1), (Poly.zero(), 0)],
+        ids=["one-image", "zero"])
+    def test_dependent_images_fail_without_raising(self, monkeypatch, image,
+                                                   independent):
+        # every u(A) sent to one image: at most one of them is independent
+        monkeypatch.setattr("ncomplex.verifier.u_in_z", lambda a, i: image)
+        r = check_basis_lemma(4)
+        assert not r.passed
+        assert r.witness["independent_u"] == independent
+        assert r.witness["failures"][0] == (
+            f"only {independent} of the 15 u elements are independent "
+            f"modulo the additive relations")
 
 
 class TestEq3:
@@ -207,6 +222,10 @@ class TestRunAll:
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_all(VerifyConfig(checks=("bogus",), ns=(2,)))
+
+    def test_no_checks(self):
+        with pytest.raises(ValueError, match="no checks selected"):
+            run_all(VerifyConfig(checks=(), ns=(2,)))
 
     def test_missing_inputs(self):
         with pytest.raises(ValueError, match="needs n"):
