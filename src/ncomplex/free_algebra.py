@@ -21,6 +21,10 @@ from .complexes import NodeSet
 
 #: refuse more words than this over degrees 0..d (guards |alphabet|**d blowups)
 MONOMIAL_CAP = 10**7
+#: each degree from 1 on is charged at least this many words against the
+#: cap: a slice costs its echelon and a pass over the relations however few
+#: its words, so a one-letter alphabet cannot ask for millions of slices
+MIN_SLICE_CHARGE = 1000
 
 Rational = Fraction | int
 
@@ -272,18 +276,20 @@ def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
 
 
 def _check_word_count(k: int, d: int) -> None:
-    """Refuse when the words of degrees 0..d over k letters, the sum of k^e,
-    exceed MONOMIAL_CAP.  Summing stops once past the cap, so the cost does
-    not grow with d."""
+    """Refuse when the words of degrees 0..d over k letters, each degree from
+    1 on charged at least MIN_SLICE_CHARGE, exceed MONOMIAL_CAP.  Charging
+    stops once past the cap, so the cost does not grow with d.  From k = 2
+    on, the charge refuses exactly the degrees that the plain word count
+    refuses."""
     if k < 2:
-        total = d + 1 if k else 1
+        total = 1 + d * MIN_SLICE_CHARGE
     else:
-        total, words = 0, 1
-        for _ in range(d + 1):
-            total += words
+        total, words = 1, 1
+        for _ in range(d):
+            words *= k
+            total += max(words, MIN_SLICE_CHARGE)
             if total > MONOMIAL_CAP:
                 break
-            words *= k
     if total > MONOMIAL_CAP:
         raise ValueError(f"{k}^{d} words exceed the monomial cap {MONOMIAL_CAP}")
 

@@ -97,10 +97,20 @@ def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     """The u-form quadratic relation of the base algebra, one per (A,i,j):
     (S_j + S_ij) S_i - (S_i + S_ij) S_j, where S_T sums u(D+T) over D inside A."""
     _require_witnesses(a, i, j)
-    si = _subset_sum(a, i)
-    sj = _subset_sum(a, j)
-    sij = _subset_sum(a, i, j)
-    return (sj + sij) * si - (si + sij) * sj
+    n = a.n
+    subsets = a.subsets()
+    si, sj, sij = ([u(d | NodeSet.of(top, n)) for d in subsets]
+                   for top in ((i,), (j,), (i, j)))
+    # the four products S_j S_i, S_ij S_i, S_i S_j and S_ij S_j have disjoint
+    # words (their letters hold i, j or both), so every coefficient is +-1
+    one, minus_one = Fraction(1), Fraction(-1)
+    terms: dict[Word, Fraction] = {}
+    for left, right, c in ((sj, si, one), (sij, si, one),
+                           (si, sj, minus_one), (sij, sj, minus_one)):
+        for x in left:
+            for y in right:
+                terms[x, y] = c
+    return Poly._canonical(terms, n)
 
 
 def rel_5(a: NodeSet, i: int, j: int) -> Poly:

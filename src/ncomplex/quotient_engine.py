@@ -8,6 +8,14 @@ word list, keeps them in triangular (distinct leading column) form, and
 answers membership, rank and quotient-basis queries from that structure.
 Coefficients stay exact, never float: int where integral, else Fraction.
 
+The degree-1 relations are echelonized first.  Each of their pivot letters
+is replaced by its normal form, which holds only smaller letters (for a
+single-word kill it is zero), in every other relation and in every query,
+and the slices are built over the surviving letters only.  Every word that
+holds an eliminated letter is then a leading word of the full ideal, so the
+standard words, dimensions, quotient bases and remainders are those of the
+full ideal.
+
 A product that is a one-letter shift x * r or r * y of a row r found
 dependent at the degree below depends on the rows before it too, so it is
 skipped without being reduced; the stored rows equal those of reducing every
@@ -94,16 +102,6 @@ class Echelon:
         return True
 
 
-def _word_index(word: Word, sym_index: dict[Symbol, int], k: int) -> int:
-    idx = 0
-    for s in word:
-        pos = sym_index.get(s)
-        if pos is None:
-            raise ValueError(f"symbol {s} is not in the presentation's alphabet")
-        idx = idx * k + pos
-    return idx
-
-
 def _index_word(idx: int, letters: list[Symbol], degree: int) -> Word:
     k = len(letters)
     out = []
@@ -115,9 +113,14 @@ def _index_word(idx: int, letters: list[Symbol], degree: int) -> Word:
 
 @dataclass(frozen=True)
 class SliceStats:
-    """Per degree: spanning products m1 * g * m2, those of them passed to
-    ``Echelon.insert`` (the others are shifts of dependent rows), and the
-    rank."""
+    """Per degree, for the presentation as given: ``rows_generated`` is the
+    size of its spanning set, the sum over relations g of
+    (e - deg g + 1) * k^(e - deg g) with k the given alphabet's size;
+    ``rows_reduced`` counts the rows actually passed to ``Echelon.insert``
+    (the degree-1 relations at degree 1, and the products of the other
+    relations, rewritten over the surviving letters, that are not shifts of
+    dependent rows); ``rank`` is the rank of the full ideal's slice, k^e
+    minus the quotient dimension."""
     rows_generated: int
     rows_reduced: int
     rank: int
@@ -129,6 +132,10 @@ class TruncatedIdealBasis:
     The monomial order is degree-first, then lexicographic by ``key`` on the
     symbols; pass a different ``key`` to re-run under another order (results
     of rank, dimension and membership must agree).
+
+    ``letters`` and ``k`` are the surviving letters, over which ``slices``
+    are built; the other letters of the alphabet are eliminated by the
+    degree-1 relations.
     """
 
     def __init__(self, presentation: Presentation, max_degree: int,
@@ -138,48 +145,70 @@ class TruncatedIdealBasis:
         self.presentation = presentation
         self.max_degree = max_degree
         self.key = key
-        self.letters = sorted(presentation.alphabet, key=key)
-        self.k = len(self.letters)
-        _check_word_count(self.k, max_degree)
-        self._sym_index = {s: p for p, s in enumerate(self.letters)}
-        # each relation as (degree, [(column of word, coefficient)]), in
-        # sorted_terms order
-        self._rel_coords: list[tuple[int, list[tuple[int, Rational]]]] = []
+        letters = sorted(presentation.alphabet, key=key)
+        k = len(letters)
+        _check_word_count(k, max_degree)
+        rels = []
         for r in presentation.relations:
             deg = r.degree()
             if deg is None or deg < 1:
                 raise ValueError("relations must be nonzero of degree >= 1")
-            self._rel_coords.append(
-                (deg, [(_word_index(w, self._sym_index, self.k), _exact(c))
-                       for w, c in r.sorted_terms()]))
+            rels.append((deg, r))
         # refuse an over-large request before any slice is built
         for e in range(max_degree + 1):
-            entries = sum(len(coords) * (e - e0 + 1) * self.k ** (e - e0)
-                          for e0, coords in self._rel_coords if e0 <= e)
+            entries = sum(len(r._terms) * (e - e0 + 1) * k ** (e - e0)
+                          for e0, r in rels if e0 <= e)
             if entries > MATRIX_ENTRY_CAP:
                 raise ValueError(
                     f"degree-{e} slice would exceed {MATRIX_ENTRY_CAP} matrix entries")
-        # processing degree-1 relations first lets single-word kill rows act
-        # as cheap pivots before the wide quadratic rows arrive
-        self._rel_order = sorted(range(len(self._rel_coords)),
-                                 key=lambda t: (self._rel_coords[t][0], t))
+        # eliminate the letters that are pivots of the degree-1 relations:
+        # each is replaced by its normal form, which holds smaller letters only
+        linear = Echelon()
+        linear_rows = 0
+        index = {s: p for p, s in enumerate(letters)}
+        for deg, r in rels:
+            if deg == 1:
+                linear.insert({index[w[0]]: _exact(c) for w, c in r._terms.items()})
+                linear_rows += 1
+        survivors = [p for p in range(k) if p not in linear.pivots]
+        self.letters = [letters[p] for p in survivors]
+        self.k = len(self.letters)
+        self._sym_index = {s: i for i, s in enumerate(self.letters)}
+        column = dict(zip(survivors, range(self.k)))
+        # every letter's normal form over the surviving letters
+        self._image = {letters[p]: [(column[c], _exact(x))
+                                    for c, x in linear.reduce({p: 1}).items()]
+                       for p in range(k)}
+        # the other relations over the surviving letters, by degree (ties in
+        # presentation order); those that vanish there are dropped
+        self._relations: list[tuple[int, list[tuple[int, Rational]]]] = []
+        for deg, r in sorted(rels, key=lambda dr: dr[0]):
+            if deg > 1:
+                vec = self._vector(r)
+                if vec:
+                    self._relations.append((deg, list(vec.items())))
         self.slices: list[Echelon] = []
         self.stats: list[SliceStats] = []
         dependent: dict[tuple[int, int], bytearray] = {}
         for e in range(max_degree + 1):
-            ech, dependent = self._build_slice(e, dependent)
+            ech, reduced, dependent = self._build_slice(e, dependent)
             self.slices.append(ech)
+            self.stats.append(SliceStats(
+                rows_generated=sum((e - e0 + 1) * k ** (e - e0)
+                                   for e0, _ in rels if e0 <= e),
+                rows_reduced=reduced + (linear_rows if e == 1 else 0),
+                rank=k ** e - self.dimension(e)))
 
     def _build_slice(self, e: int, parents: dict[tuple[int, int], bytearray]
-                     ) -> tuple[Echelon, dict[tuple[int, int], bytearray]]:
-        """Echelon of the degree-e slice, and the dependent flags of its rows
-        by (relation, a).  ``parents`` holds the flags of degree e-1."""
+                     ) -> tuple[Echelon, int, dict[tuple[int, int], bytearray]]:
+        """Echelon of the eliminated ideal's degree-e slice, the number of
+        rows inserted, and the dependent flags of its rows by (relation, a).
+        ``parents`` holds the flags of degree e-1."""
         ech = Echelon()
         k = self.k
-        rows = reduced = 0
+        reduced = 0
         dependent = {}
-        for t in self._rel_order:
-            e0, coords = self._rel_coords[t]
+        for t, (e0, coords) in enumerate(self._relations):
             if e0 > e:
                 continue
             n = k ** (e - e0)
@@ -211,10 +240,50 @@ class TruncatedIdealBasis:
                             if not ech.insert({base + col: c for col, c in shifted}):
                                 flags[i] = 1
                         i += 1
-                rows += n
-        self.stats.append(SliceStats(rows_generated=rows, rows_reduced=reduced,
-                                     rank=ech.rank))
-        return ech, dependent
+        return ech, reduced, dependent
+
+    def _vector(self, q: Poly) -> Vector:
+        """q's coordinates over the surviving words, with every eliminated
+        letter replaced by its image."""
+        k, index, image = self.k, self._sym_index, self._image
+        vec: Vector = {}
+        expanded = []
+        for w, c in q._terms.items():
+            col = 0
+            for s in w:
+                pos = index.get(s)
+                if pos is None:
+                    # a killed letter (empty image) makes the word vanish; a
+                    # symbol outside the alphabet is reported by _expand
+                    if image.get(s, True):
+                        expanded.append((w, c))
+                    break
+                col = col * k + pos
+            else:
+                # distinct words over the surviving letters: distinct columns
+                vec[col] = _exact(c)
+        for w, c in expanded:
+            for col, x in self._expand(w, _exact(c)):
+                acc = vec.get(col, 0) + x
+                if acc:
+                    vec[col] = acc
+                else:
+                    vec.pop(col, None)
+        return vec
+
+    def _expand(self, w: Word, c: Rational) -> list[tuple[int, Rational]]:
+        """c * w over the surviving words, for a word holding an eliminated
+        letter."""
+        k = self.k
+        terms = [(0, c)]
+        for s in w:
+            img = self._image.get(s)
+            if img is None:
+                raise ValueError(f"symbol {s} is not in the presentation's alphabet")
+            terms = [(col * k + p, x * y) for col, x in terms for p, y in img]
+            if not terms:
+                break
+        return terms
 
     def _coords(self, q: Poly) -> tuple[int, Vector]:
         deg = q.degree()
@@ -222,9 +291,7 @@ class TruncatedIdealBasis:
             return 0, {}
         if deg > self.max_degree:
             raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
-        vec = {_word_index(w, self._sym_index, self.k): _exact(c)
-               for w, c in q._terms.items()}
-        return deg, vec
+        return deg, self._vector(q)
 
     def contains(self, q: Poly) -> bool:
         """Whether the homogeneous q lies in the ideal's slice at its degree."""
@@ -243,7 +310,8 @@ class TruncatedIdealBasis:
                                 for c, x in rem.items()}, q._n)
 
     def rank(self, e: int) -> int:
-        return self.slices[e].rank
+        """Rank of the full ideal's degree-e slice."""
+        return self.stats[e].rank
 
     def dimension(self, e: int) -> int:
         """Quotient dimension at degree e: words minus ideal rank."""

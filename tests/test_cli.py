@@ -191,6 +191,8 @@ class TestHilbertCommand:
                   "--presentation", "graph"], "5^100000000 words"),
                 (["hilbert", "--complex", str(one), "--max-degree", "100000000"],
                  "1^100000000 words"),
+                (["hilbert", "--complex", str(one), "--max-degree", "9999999"],
+                 "1^9999999 words"),
                 (["membership", "--complex", path3, "--poly", "u({1})",
                   "--max-degree", "100000000"], "7^100000000 words"),
                 (["verify", "--n", "2", "--checks", "commutative_case",

@@ -7,8 +7,10 @@ import pytest
 
 from ncomplex.complexes import NodeSet
 from ncomplex.free_algebra import (
+    MIN_SLICE_CHARGE,
     MONOMIAL_CAP,
     Poly,
+    _check_word_count,
     commutator,
     enumerate_monomials,
     poly_text,
@@ -318,6 +320,26 @@ class TestEnumerateMonomials:
         # once, before any word is built
         with pytest.raises(ValueError, match="1\\^100000000 words exceed"):
             enumerate_monomials([u(NodeSet.of((1,), 1))], 10 ** 8)
+
+    def test_minimum_slice_charge_moves_no_refusal_from_two_letters(self):
+        # the largest degree whose plain word count fits stays accepted and
+        # the next stays refused; from MIN_SLICE_CHARGE letters on every
+        # degree >= 1 already has that many words, so nothing changes there
+        for k in range(2, MIN_SLICE_CHARGE + 1):
+            d, total = 0, 1
+            while total + k ** (d + 1) <= MONOMIAL_CAP:
+                d += 1
+                total += k ** d
+            _check_word_count(k, d)
+            with pytest.raises(ValueError, match=f"{k}\\^{d + 1} words exceed"):
+                _check_word_count(k, d + 1)
+
+    def test_one_letter_charged_per_degree(self):
+        one = [u(NodeSet.of((1,), 1))]
+        last = (MONOMIAL_CAP - 1) // MIN_SLICE_CHARGE
+        assert len(enumerate_monomials(one, last)) == 1
+        with pytest.raises(ValueError, match=f"1\\^{last + 1} words exceed"):
+            enumerate_monomials(one, last + 1)
 
     def test_empty_alphabet(self):
         with pytest.raises(ValueError, match="nonempty"):

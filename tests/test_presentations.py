@@ -70,6 +70,12 @@ def instances_a3():
     return [(a, i, j) for a, i, j in instances(5) if a.size == 3]
 
 
+def subset_sum(a, *top):
+    """The sum of u(D + top) over all D inside A, by Poly addition."""
+    t = NodeSet.of(top, a.n)
+    return sum((Poly.from_symbol(u(d | t)) for d in a.subsets()), Poly.zero())
+
+
 def z_to_u_images(n):
     return {s: z_in_u(s.a, s.i) for s in all_z_symbols(n)}
 
@@ -166,6 +172,18 @@ class TestURelations:
         expected = (up(2, n=2) * up(1, n=2) + up(1, 2, n=2) * up(1, n=2)
                     - up(1, n=2) * up(2, n=2) - up(1, 2, n=2) * up(2, n=2))
         assert got == expected
+
+    def test_rel_4_lists_the_subset_sum_products(self):
+        # rel_4 lists its terms; the product of subset sums it stands for is
+        # the oracle, on every instance with n <= 5
+        insts = [inst for n in range(2, 6) for inst in instances(n)]
+        assert len(insts) == 222
+        for a, i, j in insts:
+            si, sj, sij = subset_sum(a, i), subset_sum(a, j), subset_sum(a, i, j)
+            got = rel_4(a, i, j)
+            assert got.sorted_terms() == ((sj + sij) * si - (si + sij) * sj).sorted_terms()
+            assert len(got.terms) == 4 * 4 ** a.size
+            assert all(c in (1, -1) for c in got.terms.values())
 
     def test_rel_4_homogeneous_degree_2(self):
         for a, i, j in instances(4):

@@ -7,8 +7,11 @@ list, and rank/membership are read off the dense echelon.  The engine must
 agree with it on every tested presentation.
 
 A second oracle, ``reduce_every_product``, is the slice construction that
-passes every spanning product through ``Echelon.insert``; the engine skips
-shifts of dependent rows and must store exactly the same rows.
+passes every spanning product through ``Echelon.insert`` over the alphabet as
+given.  The engine eliminates the letters that degree-1 relations kill and
+skips shifts of dependent rows; it must have the same ranks, the same pivot
+words once its own are lifted back to the given alphabet, and the same
+remainders, and where nothing is eliminated it must store the same rows.
 """
 
 import hashlib
@@ -193,13 +196,46 @@ def typed_rows(echelons):
                    for c, x in row.items()) for ech in echelons]
 
 
+def rows_reduced_bounded(basis):
+    """Each slice's rank is at most the rows inserted into it, which are at
+    most the rows generated over the given alphabet."""
+    return all(ech.rank <= s.rows_reduced <= s.rows_generated
+               for ech, s in zip(basis.slices, basis.stats))
+
+
 def assert_same_construction(pres, d, key):
+    """The engine against ``reduce_every_product`` at every degree: equal
+    rows generated, full ranks and dimensions; equal pivot words, the
+    engine's lifted to the given alphabet together with every word that
+    holds an eliminated letter; equal remainders of up to 300 words and of
+    one query with many terms.  With no degree-1 relation nothing is
+    eliminated, and the stored rows must be equal entry for entry."""
     basis = TruncatedIdealBasis(pres, d, key=key)
     oracle = reduce_every_product(pres, d, key)
-    assert row_digest(basis) == row_digest(oracle)
-    assert typed_rows(basis.slices) == typed_rows(oracle.slices)
+    letters = sorted(pres.alphabet, key=key)
+    k = len(letters)
     assert [(s.rows_generated, s.rank) for s in basis.stats] == oracle.stats
-    assert all(s.rank <= s.rows_reduced <= s.rows_generated for s in basis.stats)
+    assert basis.dimensions() == [k ** e - rank for e, (_, rank) in enumerate(oracle.stats)]
+    assert rows_reduced_bounded(basis)
+    survivors = set(basis.letters)
+    for e in range(d + 1):
+        words = list(product(letters, repeat=e))  # in column order
+        column = {w: col for col, w in enumerate(words)}
+        lifted = {column[_index_word(c, basis.letters, e)] for c in basis.slices[e].pivots}
+        lifted |= {col for col, w in enumerate(words) if not survivors.issuperset(w)}
+        assert lifted == set(oracle.slices[e].pivots), e
+
+        def remainder(vec):
+            return Poly({words[c]: x for c, x in oracle.slices[e].reduce(vec).items()})
+        sample = random.Random(e).sample(range(len(words)), min(300, len(words)))
+        for col in sample:
+            assert basis.reduce(Poly.term(1, words[col])) == remainder({col: 1})
+        dense = {col: Fraction(col % 5 - 2, col % 3 + 1) for col in sample if col % 5 != 2}
+        assert basis.reduce(Poly({words[c]: x for c, x in dense.items()})) == remainder(dense)
+    if all(g.degree() > 1 for g in pres.relations):
+        assert basis.letters == letters
+        assert row_digest(basis) == row_digest(oracle)
+        assert typed_rows(basis.slices) == typed_rows(oracle.slices)
 
 
 SMALL_CASES = [
@@ -254,9 +290,10 @@ class TestAgainstDenseOracle:
 
 
 ORACLE_CASES = [
-    # degree-1 kill relations on u({1,3}) and u({1,2,3})
+    # degree-1 kill relations on u({1,3}) and u({1,2,3}) eliminate them
     (qF_presentation(closure([{1, 2}, {2, 3}], 3)), 3),
-    # z-form Q_2 mixes degree-1 and degree-2 relations
+    # z-form Q_2 mixes degree-2 relations with degree-1 relations of four
+    # terms, which eliminate letters into sums of the others
     (qn_presentation(2, "z"), 4),
     # non-unit and non-integral leading coefficients: Fraction pivots
     (mixed_presentation(), 4),
@@ -364,16 +401,17 @@ class TestEngineProperties:
         assert [(s.rows_generated, s.rank) for s in basis.stats] == expected
 
     @pytest.mark.parametrize("pres,d,expected", [
-        (qF_presentation(closure([[1, 2], [2, 3], [3, 4]], 4)), 3, [0, 8, 288, 4038]),
+        (qF_presentation(closure([[1, 2], [2, 3], [3, 4]], 4)), 3, [0, 8, 48, 182]),
         (qn_presentation(3, "u"), 4, [0, 0, 12, 70, 721]),
         (graph_presentation(cycle_graph(4)), 4, [0, 0, 32, 256, 2944]),
     ], ids=["qF-P4", "Q3-u", "graph-C4"])
     def test_rows_reduced(self, pres, d, expected):
-        # rows passed to Echelon.insert: the others are one-letter shifts of
-        # rows found dependent at the degree below
+        # rows passed to Echelon.insert: qF-P4's 8 kill relations at degree
+        # 1, then the products over the 7 surviving letters that are not
+        # one-letter shifts of rows found dependent at the degree below
         basis = TruncatedIdealBasis(pres, d)
         assert [s.rows_reduced for s in basis.stats] == expected
-        assert all(s.rank <= s.rows_reduced <= s.rows_generated for s in basis.stats)
+        assert rows_reduced_bounded(basis)
 
     @pytest.mark.parametrize("pres,expected", [
         (qn_presentation(3, "u"),
@@ -483,9 +521,14 @@ class TestErrors:
             TruncatedIdealBasis(two, 23)
 
     def test_monomial_cap_on_one_letter(self):
-        # one letter has one word per degree; 10^7 + 1 degrees are refused at
+        # one letter has one word per degree; huge degrees are refused at
         # once, without a loop over them
         one = Presentation("free", (u(ns(1, n=1)),), ())
+        # each degree is charged MIN_SLICE_CHARGE words, so 9,999 degrees
+        # are the most one letter may ask for
+        assert TruncatedIdealBasis(one, 9999).dimension(9999) == 1
+        with pytest.raises(ValueError, match="1\\^10000 words exceed"):
+            TruncatedIdealBasis(one, 10000)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="1\\^10000000 words exceed"):
             TruncatedIdealBasis(one, 10 ** 7)

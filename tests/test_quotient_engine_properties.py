@@ -1,8 +1,9 @@
-"""Property test of the slice construction on random homogeneous
-presentations: the engine, which skips shifts of dependent rows, stores the
-same rows as the construction that reduces every spanning product."""
-
-from fractions import Fraction
+"""Property tests of the slice construction on random homogeneous
+presentations, against the construction that reduces every spanning product
+over the alphabet as given: with no degree-1 relation the engine, which
+skips shifts of dependent rows, stores the same rows; with degree-1
+relations it eliminates the letters they kill and must have the same ranks,
+lifted pivot words and remainders."""
 
 import pytest
 
@@ -14,6 +15,19 @@ from ncomplex.presentations import Presentation, all_u_symbols  # noqa: E402
 from test_quotient_engine import assert_same_construction  # noqa: E402
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+keys = st.sampled_from([symbol_key, reversed_symbol_key])
+
+
+def relations(draw, alphabet, degrees, count):
+    out = []
+    for _ in range(draw(count)):
+        degree = draw(degrees)
+        words = st.lists(st.sampled_from(alphabet), min_size=degree,
+                         max_size=degree).map(tuple)
+        g = Poly(draw(st.dictionaries(words, coefficients, min_size=1, max_size=4)))
+        if g:
+            out.append(g)
+    return out
 
 
 @st.composite
@@ -22,19 +36,37 @@ def presentations(draw):
     degree 1-4."""
     alphabet = tuple(draw(st.lists(st.sampled_from(all_u_symbols(2)),
                                    min_size=1, max_size=3, unique=True)))
-    relations = []
-    for _ in range(draw(st.integers(1, 4))):
-        degree = draw(st.integers(1, 3))
-        words = st.lists(st.sampled_from(alphabet), min_size=degree,
-                         max_size=degree).map(tuple)
-        g = Poly(draw(st.dictionaries(words, coefficients, min_size=1, max_size=4)))
-        if g:
-            relations.append(g)
-    return Presentation("random", alphabet, tuple(relations)), draw(st.integers(1, 4))
+    rels = relations(draw, alphabet, st.integers(1, 3), st.integers(1, 4))
+    return Presentation("random", alphabet, tuple(rels)), draw(st.integers(1, 4))
+
+
+@st.composite
+def eliminating_presentations(draw):
+    """2-4 letters; 0-2 single-word kills and 0-2 degree-1 relations of
+    several terms (at least one degree-1 relation), 0-3 nonzero relations of
+    degrees 2-3, all in a drawn order; truncation degree 1-3."""
+    alphabet = tuple(draw(st.lists(st.sampled_from(all_u_symbols(3)),
+                                   min_size=2, max_size=4, unique=True)))
+    kills = [Poly.from_symbol(s) for s in
+             draw(st.lists(st.sampled_from(alphabet), max_size=2, unique=True))]
+    linear = [g for g in relations(draw, alphabet, st.just(1), st.integers(0, 2))
+              if len(g.terms) > 1]
+    if not kills and not linear:
+        kills = [Poly.from_symbol(draw(st.sampled_from(alphabet)))]
+    rels = draw(st.permutations(
+        kills + linear + relations(draw, alphabet, st.integers(2, 3), st.integers(0, 3))))
+    return Presentation("random", alphabet, tuple(rels)), draw(st.integers(1, 3))
 
 
 @settings(max_examples=150, deadline=None)
-@given(presentations(), st.sampled_from([symbol_key, reversed_symbol_key]))
+@given(presentations(), keys)
 def test_same_rows_as_reducing_every_product(case, key):
+    pres, d = case
+    assert_same_construction(pres, d, key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eliminating_presentations(), keys)
+def test_elimination_agrees_with_reducing_every_product(case, key):
     pres, d = case
     assert_same_construction(pres, d, key)
