@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Complex, Graph, NodeSet
-from .free_algebra import Poly, Symbol, Word, commutator, symbol_key, u, z
+from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, commutator, symbol_key, u, z
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,15 @@ def rel_4(a: NodeSet, i: int, j: int) -> Poly:
             for y in right:
                 terms[x, y] = c
     return Poly._canonical(terms, n)
+
+
+def _check_rel_4_words(n: int) -> None:
+    """Refuse, before building it, a rel_4 family on n nodes of more than
+    MONOMIAL_CAP words (4 * 4^|A| per instance, 4n(n-1) * 5^(n-2) in all)."""
+    words = 4 * n * (n - 1) * 5 ** max(n - 2, 0)
+    if words > MONOMIAL_CAP:
+        raise ValueError(f"the rel_4 family on n={n} nodes has {words} words, "
+                         f"over the monomial cap {MONOMIAL_CAP}")
 
 
 def rel_5(a: NodeSet, i: int, j: int) -> Poly:
@@ -273,6 +282,7 @@ def qn_presentation(n: int, form: str) -> Presentation:
         for a, i, j in _instances(n):
             relations.append(rel_multiplicative(a, i, j))
         return Presentation(f"Qn(n={n},form=z)", alphabet, tuple(relations))
+    _check_rel_4_words(n)
     alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
     relations = [rel_4(a, i, j) for a, i, j in _instances(n)]
     return Presentation(f"Qn(n={n},form=u)", alphabet, tuple(relations))
@@ -283,6 +293,7 @@ def qF_presentation(c: Complex) -> Presentation:
     non-face A.  The alphabet keeps all u symbols; kill relations are
     degree-1 generators of the ideal."""
     n = c.n
+    _check_rel_4_words(n)
     alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
     relations = [rel_4(a, i, j) for a, i, j in _instances(n)]
     for s in NodeSet.full(n).subsets():

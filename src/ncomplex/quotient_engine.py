@@ -142,9 +142,7 @@ class TruncatedIdealBasis:
                  key: Callable[[Symbol], int] = symbol_key):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        self.presentation = presentation
         self.max_degree = max_degree
-        self.key = key
         letters = sorted(presentation.alphabet, key=key)
         k = len(letters)
         _check_word_count(k, max_degree)
@@ -154,22 +152,23 @@ class TruncatedIdealBasis:
             if deg is None or deg < 1:
                 raise ValueError("relations must be nonzero of degree >= 1")
             rels.append((deg, r))
-        # refuse an over-large request before any slice is built
+        # per degree, the spanning products m1 * g * m2 over the given
+        # alphabet; an over-large request is refused before any slice is built
+        spanning = []
         for e in range(max_degree + 1):
-            entries = sum(len(r._terms) * (e - e0 + 1) * k ** (e - e0)
-                          for e0, r in rels if e0 <= e)
-            if entries > MATRIX_ENTRY_CAP:
+            products = [((e - e0 + 1) * k ** (e - e0), len(r._terms))
+                        for e0, r in rels if e0 <= e]
+            if sum(m * t for m, t in products) > MATRIX_ENTRY_CAP:
                 raise ValueError(
                     f"degree-{e} slice would exceed {MATRIX_ENTRY_CAP} matrix entries")
+            spanning.append(sum(m for m, _ in products))
         # eliminate the letters that are pivots of the degree-1 relations:
         # each is replaced by its normal form, which holds smaller letters only
         linear = Echelon()
-        linear_rows = 0
         index = {s: p for p, s in enumerate(letters)}
         for deg, r in rels:
             if deg == 1:
                 linear.insert({index[w[0]]: _exact(c) for w, c in r._terms.items()})
-                linear_rows += 1
         survivors = [p for p in range(k) if p not in linear.pivots]
         self.letters = [letters[p] for p in survivors]
         self.k = len(self.letters)
@@ -179,11 +178,11 @@ class TruncatedIdealBasis:
         self._image = {letters[p]: [(column[c], _exact(x))
                                     for c, x in linear.reduce({p: 1}).items()]
                        for p in range(k)}
-        # the other relations over the surviving letters, by degree (ties in
-        # presentation order); those that vanish there are dropped
+        # the relations of degrees 2..max_degree over the surviving letters, by
+        # degree (ties in presentation order), less those that vanish there
         self._relations: list[tuple[int, list[tuple[int, Rational]]]] = []
         for deg, r in sorted(rels, key=lambda dr: dr[0]):
-            if deg > 1:
+            if 1 < deg <= max_degree:
                 vec = self._vector(r)
                 if vec:
                     self._relations.append((deg, list(vec.items())))
@@ -194,9 +193,8 @@ class TruncatedIdealBasis:
             ech, reduced, dependent = self._build_slice(e, dependent)
             self.slices.append(ech)
             self.stats.append(SliceStats(
-                rows_generated=sum((e - e0 + 1) * k ** (e - e0)
-                                   for e0, _ in rels if e0 <= e),
-                rows_reduced=reduced + (linear_rows if e == 1 else 0),
+                rows_generated=spanning[e],
+                rows_reduced=spanning[1] if e == 1 else reduced,
                 rank=k ** e - self.dimension(e)))
 
     def _build_slice(self, e: int, parents: dict[tuple[int, int], bytearray]
@@ -285,27 +283,18 @@ class TruncatedIdealBasis:
                 break
         return terms
 
-    def _coords(self, q: Poly) -> tuple[int, Vector]:
-        deg = q.degree()
-        if deg is None:
-            return 0, {}
-        if deg > self.max_degree:
-            raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
-        return deg, self._vector(q)
-
     def contains(self, q: Poly) -> bool:
         """Whether the homogeneous q lies in the ideal's slice at its degree."""
-        deg, vec = self._coords(q)
-        if not vec:
-            return True
-        return not self.slices[deg].reduce(vec)
+        return not self.reduce(q)
 
     def reduce(self, q: Poly) -> Poly:
         """Canonical remainder of q modulo the slice at its degree."""
-        deg, vec = self._coords(q)
-        if not vec:
+        deg = q.degree()
+        if deg is None:
             return Poly.zero()
-        rem = self.slices[deg].reduce(vec)
+        if deg > self.max_degree:
+            raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
+        rem = self.slices[deg].reduce(self._vector(q))
         return Poly._canonical({_index_word(c, self.letters, deg): Fraction(x)
                                 for c, x in rem.items()}, q._n)
 

@@ -1,6 +1,11 @@
 """Tests for the command-line front end: output bytes, exit codes, diagnostics."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -202,6 +207,51 @@ class TestHilbertCommand:
             assert perf_counter() - start < 1.0, argv
             assert code == 2 and out == ""
             assert err == f"error: {msg} exceed the monomial cap 10000000\n"
+
+
+def _limit_address_space():
+    # the child's own limit: an over-large build fails instead of swapping
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.fixture(params=[(9, 22500000), (16, 5859375000000)], ids=["n=9", "n=16"])
+def long_path(request, tmp_path):
+    n, words = request.param
+    p = tmp_path / f"path{n}.json"
+    p.write_text(json.dumps({"n": n, "facets": [[i, i + 1] for i in range(1, n)]}))
+    return n, words, str(p)
+
+
+class TestRel4FamilyRefused:
+    """Past n = 8 the rel_4 family holds over 10^7 words; every command that
+    would build it exits 2 before building any instance."""
+
+    def test_refused_fast_in_a_small_address_space(self, long_path):
+        n, words, path = long_path
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in (["hilbert", "--complex", path, "--max-degree", "1"],
+                     ["membership", "--complex", path, "--poly", "u({1})",
+                      "--max-degree", "2"],
+                     ["verify", "--complex", path],
+                     ["verify", "--n", str(n)]):
+            start = perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "ncomplex.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  preexec_fn=_limit_address_space, timeout=60)
+            assert perf_counter() - start < 2.0, argv
+            assert proc.returncode == 2 and proc.stdout == "", argv
+            assert proc.stderr == (f"error: the rel_4 family on n={n} nodes has "
+                                   f"{words} words, over the monomial cap 10000000\n")
+
+    def test_graph_presentation_still_answers(self, capsys, tmp_path):
+        p = tmp_path / "path16.json"
+        p.write_text(json.dumps({"n": 16, "facets": [[i, i + 1] for i in range(1, 16)]}))
+        code, out, _ = run(capsys, ["hilbert", "--complex", str(p), "--max-degree", "2",
+                                    "--presentation", "graph"])
+        assert code == 0
+        dims = json.loads(out)["dims"]
+        assert dims[:2] == [1, 31] and len(dims) == 3
 
 
 class TestMembershipCommand:

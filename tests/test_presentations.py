@@ -22,6 +22,8 @@ from ncomplex.complexes import (
 from ncomplex.free_algebra import Poly, commutator, substitute, u, z
 from ncomplex.presentations import (
     Presentation,
+    _check_rel_4_words,
+    _instances,
     all_u_symbols,
     all_z_symbols,
     graph_presentation,
@@ -320,6 +322,25 @@ class TestPresentations:
         p = qn_presentation(2, "u")
         assert [str(s) for s in p.alphabet] == ["u({1})", "u({2})", "u({1,2})"]
         assert list(p.relations) == [rel_4(ns(n=2), 1, 2), rel_4(ns(n=2), 2, 1)]
+
+    def test_rel_4_family_priced_at_the_cap(self):
+        # 4 * 8 * 7 * 5^6 = 3,500,000 words fit; 4 * 9 * 8 * 5^7 = 22,500,000
+        # do not, and are refused without building an instance
+        _check_rel_4_words(8)
+        with pytest.raises(ValueError, match="n=9 nodes has 22500000 words, "
+                                             "over the monomial cap 10000000"):
+            _check_rel_4_words(9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rel_4_family_price_is_its_word_count(self, n, monkeypatch):
+        words = sum(len(rel_4(a, i, j).terms) for a, i, j in _instances(n))
+        monkeypatch.setattr("ncomplex.presentations.MONOMIAL_CAP", words)
+        _check_rel_4_words(n)
+        monkeypatch.setattr("ncomplex.presentations.MONOMIAL_CAP", words - 1)
+        for build in (lambda: qn_presentation(n, "u"),
+                      lambda: qF_presentation(closure([], n))):
+            with pytest.raises(ValueError, match=f"has {words} words"):
+                build()
 
     def test_qn_rejects_bad_form(self):
         with pytest.raises(ValueError, match="form"):

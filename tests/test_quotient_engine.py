@@ -442,6 +442,26 @@ class TestEngineProperties:
         assert len(letters) - ech.rank == 7
         assert all(type(x) is int for x in stored_entries([ech]))
 
+    def test_relations_above_the_bound_are_not_read(self, monkeypatch):
+        # at max_degree 1 the z form's degree-2 relations span nothing, so
+        # none of them is rewritten over the surviving letters
+        pres = qn_presentation(3, "z")
+        full = TruncatedIdealBasis(pres, 2)
+        degrees = []
+        vector = TruncatedIdealBasis._vector
+
+        def counting(self, q):
+            degrees.append(q.degree())
+            return vector(self, q)
+        monkeypatch.setattr(TruncatedIdealBasis, "_vector", counting)
+        basis = TruncatedIdealBasis(pres, 1)
+        assert not [e for e in degrees if e >= 2]
+        assert basis.dimensions() == full.dimensions()[:2]
+        assert basis.stats == full.stats[:2]
+        for s in pres.alphabet:
+            x = Poly.from_symbol(s)
+            assert basis.reduce(x) == full.reduce(x)
+
     def test_soundness_of_stored_rows(self):
         # every stored pivot row, read back as a polynomial, must lie in the
         # ideal according to the dense oracle

@@ -10,8 +10,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ncomplex.free_algebra import Poly, reversed_symbol_key, symbol_key  # noqa: E402
+from ncomplex.complexes import NodeSet  # noqa: E402
+from ncomplex.free_algebra import Poly, reversed_symbol_key, symbol_key, z  # noqa: E402
 from ncomplex.presentations import Presentation, all_u_symbols  # noqa: E402
+from ncomplex.quotient_engine import TruncatedIdealBasis  # noqa: E402
 from test_quotient_engine import assert_same_construction  # noqa: E402
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -70,3 +72,45 @@ def test_same_rows_as_reducing_every_product(case, key):
 def test_elimination_agrees_with_reducing_every_product(case, key):
     pres, d = case
     assert_same_construction(pres, d, key)
+
+
+def polys(draw, alphabet, degree):
+    words = st.lists(st.sampled_from(alphabet), min_size=degree,
+                     max_size=degree).map(tuple)
+    return Poly(draw(st.dictionaries(words, coefficients, max_size=4)))
+
+
+def raised(call, q):
+    try:
+        call(q)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"no ValueError for {q}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(presentations(), eliminating_presentations()), keys, st.data())
+def test_contains_is_reduce_to_zero(case, key, data):
+    """contains(q) is (not reduce(q)) on zero, member and random queries with
+    non-integer coefficients, and both refuse a bad query with one message."""
+    pres, d = case
+    basis = TruncatedIdealBasis(pres, d, key=key)
+    alphabet = list(pres.alphabet)
+    e = data.draw(st.integers(0, d))
+    q = polys(data.draw, alphabet, e)
+    member = Poly.zero()
+    for g in pres.relations:
+        if g.degree() <= e:
+            a = data.draw(st.integers(0, e - g.degree()))
+            m1 = polys(data.draw, alphabet, a)
+            m2 = polys(data.draw, alphabet, e - g.degree() - a)
+            member = member + m1 * g * m2
+    for query in (Poly.zero(), member, q, q + member):
+        assert basis.contains(query) == (not basis.reduce(query))
+    assert not basis.reduce(member)
+    assert basis.reduce(q + member) == basis.reduce(q)
+    x = Poly.from_symbol(alphabet[0])
+    over = Poly.term(1, (alphabet[0],) * (d + 1))
+    stray = Poly.from_symbol(z(NodeSet.of((), 3), 1))
+    for bad in (over, x + x * x, stray):
+        assert raised(basis.contains, bad) == raised(basis.reduce, bad)

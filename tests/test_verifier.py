@@ -16,7 +16,7 @@ from ncomplex.complexes import (
     star_graph,
 )
 from ncomplex.free_algebra import Poly, z
-from ncomplex.presentations import qF_presentation
+from ncomplex.presentations import qF_presentation, qn_presentation
 from ncomplex.quotient_engine import graded_dimension
 from ncomplex.verifier import (
     CHECK_NAMES,
@@ -35,6 +35,19 @@ from ncomplex.verifier import (
     strong_witnesses,
     weak_witnesses,
 )
+
+
+class TestRel4FamilyRefused:
+    # basis_lemma asks for the u form before the z form, and it is refused
+    @pytest.mark.parametrize("check,forms", [(check_basis_lemma, ["u"]),
+                                             (check_corollary, [])])
+    def test_refused_before_any_presentation_is_built(self, check, forms, monkeypatch):
+        built = []
+        monkeypatch.setattr("ncomplex.verifier.qn_presentation",
+                            lambda n, form: built.append(form) or qn_presentation(n, form))
+        with pytest.raises(ValueError, match="rel_4 family on n=9 nodes has 22500000"):
+            check(9)
+        assert built == forms
 
 
 class TestBasisLemma:
