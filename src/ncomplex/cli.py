@@ -2,8 +2,9 @@
 
 Subcommands: closure, relations, hilbert, membership, verify.  Exit status 0
 means success (all checks passed / the polynomial is a member), 1 means a
-verification failure or non-membership, 2 means a usage or input error.  All
-output is deterministic except the millis timing field of verify reports.
+verification failure or non-membership, 2 means a usage or input error or
+running out of memory.  All output is deterministic except the millis timing
+field of verify reports.
 """
 
 from __future__ import annotations
@@ -230,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

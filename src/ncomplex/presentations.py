@@ -11,12 +11,18 @@ Two sign conventions are deliberate and verified by the test suite:
 * the closing term of the graph-truncated quadratic rel_10 carries a minus
   sign, which is what makes rel_10(empty, i, j) equal the degree-two pair
   relation and makes rel_10 the image of rel_5 under killing u(S), |S| >= 3.
+
+rel_4, rel_10 and the graph relations (i) and (ii) list their +-1 terms
+through one builder, _quadratic.  rel_5, rel_9, the z/u change of basis and
+identity_11_residual stay Poly arithmetic: they are the independent forms
+that the checks and tests compare the builder against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from .complexes import Complex, Graph, NodeSet
 from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, commutator, symbol_key, u, z
@@ -93,6 +99,21 @@ def u_in_z(a: NodeSet, i: int) -> Poly:
     return Poly(out)
 
 
+def _quadratic(si: list[Symbol], sj: list[Symbol], sij: list[Symbol], n: int) -> Poly:
+    """[S_i,S_j] - S_ij(S_i - S_j), where S_i, S_j and S_ij sum the given
+    letters: those holding i but not j, j but not i, and both.  The four
+    products S_i S_j, S_ij S_j, S_j S_i and S_ij S_i have disjoint words (their
+    letters differ in which of i, j they hold), so every coefficient is +-1."""
+    one, minus_one = Fraction(1), Fraction(-1)
+    terms: dict[Word, Fraction] = {}
+    for left, right, c in ((si, sj, one), (sij, sj, one),
+                           (sj, si, minus_one), (sij, si, minus_one)):
+        for x in left:
+            for y in right:
+                terms[x, y] = c
+    return Poly._canonical(terms, n)
+
+
 def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     """The u-form quadratic relation of the base algebra, one per (A,i,j):
     (S_j + S_ij) S_i - (S_i + S_ij) S_j, where S_T sums u(D+T) over D inside A."""
@@ -101,16 +122,8 @@ def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     subsets = a.subsets()
     si, sj, sij = ([u(d | NodeSet.of(top, n)) for d in subsets]
                    for top in ((i,), (j,), (i, j)))
-    # the four products S_j S_i, S_ij S_i, S_i S_j and S_ij S_j have disjoint
-    # words (their letters hold i, j or both), so every coefficient is +-1
-    one, minus_one = Fraction(1), Fraction(-1)
-    terms: dict[Word, Fraction] = {}
-    for left, right, c in ((sj, si, one), (sij, si, one),
-                           (si, sj, minus_one), (sij, sj, minus_one)):
-        for x in left:
-            for y in right:
-                terms[x, y] = c
-    return Poly._canonical(terms, n)
+    # swapping i and j negates the quadratic
+    return _quadratic(sj, si, sij, n)
 
 
 def _check_rel_4_words(n: int) -> None:
@@ -143,16 +156,8 @@ def rel_9(ap: NodeSet, bp: NodeSet, i: int, j: int) -> Poly:
     return commutator(_subset_sum(ap, i), _subset_sum(bp, j))
 
 
-def _pair_poly(i: int, j: int, n: int, graph: Graph | None = None) -> Poly:
-    """u({i,j}), or zero when a graph is given and (i,j) is not one of its
-    edges (the build-time convention for graph presentations)."""
-    if graph is not None and not graph.has_edge(i, j):
-        return Poly.zero()
-    return Poly.from_symbol(u(NodeSet.of((i, j), n)))
-
-
-def _vertex_poly(i: int, n: int) -> Poly:
-    return Poly.from_symbol(u(NodeSet.of((i,), n)))
+def _u(n: int, *vertices: int) -> Poly:
+    return Poly.from_symbol(u(NodeSet.of(vertices, n)))
 
 
 def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
@@ -162,9 +167,12 @@ def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
     pair generators are also zeroed at build time."""
     _require_witnesses(a, i, j)
     n = a.n
-    pi = sum((_pair_poly(i, k, n, graph) for k in a), _vertex_poly(i, n))
-    pj = sum((_pair_poly(j, k, n, graph) for k in a), _vertex_poly(j, n))
-    return commutator(pi, pj) - _pair_poly(i, j, n, graph) * (pi - pj)
+
+    def pairs(x: int, ys) -> list[Symbol]:
+        return [u(NodeSet.of((x, y), n)) for y in ys
+                if graph is None or graph.has_edge(x, y)]
+    return _quadratic([u(NodeSet.of((i,), n))] + pairs(i, a),
+                      [u(NodeSet.of((j,), n))] + pairs(j, a), pairs(i, (j,)), n)
 
 
 def identity_11_residual(a: NodeSet, i: int, j: int, k: int) -> Poly:
@@ -174,72 +182,47 @@ def identity_11_residual(a: NodeSet, i: int, j: int, k: int) -> Poly:
     if k not in a:
         raise ValueError(f"index k={k} must lie in A={a}")
     n = a.n
-    uik = _pair_poly(i, k, n)
-    ujk = _pair_poly(j, k, n)
-    ui, uj = _vertex_poly(i, n), _vertex_poly(j, n)
+    uik, ujk, ui, uj = _u(n, i, k), _u(n, j, k), _u(n, i), _u(n, j)
 
     out = (rel_10(a, i, j) - rel_10(a.minus(k), i, j)
            - commutator(uik, ujk) - commutator(uik, uj) - commutator(ui, ujk)
-           + _pair_poly(i, j, n) * (uik - ujk))
+           + _u(n, i, j) * (uik - ujk))
     for el in a.minus(k):
-        out = out - commutator(_pair_poly(i, el, n), ujk)
-        out = out - commutator(uik, _pair_poly(j, el, n))
+        out = out - commutator(_u(n, i, el), ujk)
+        out = out - commutator(uik, _u(n, j, el))
     return out
 
 
 def theorem_rel_i(i: int, j: int, g: Graph) -> Poly:
-    """Pair relation  [u(i),u(j)] - u(ij)(u(i)-u(j))  with non-edges zeroed."""
-    n = g.n
-    ui, uj = _vertex_poly(i, n), _vertex_poly(j, n)
-    return commutator(ui, uj) - _pair_poly(i, j, n, g) * (ui - uj)
+    """Pair relation  [u(i),u(j)] - u(ij)(u(i)-u(j))  with non-edges zeroed:
+    R(empty,i,j)."""
+    return rel_10(NodeSet(g.n, 0), i, j, g)
 
 
 def theorem_rel_ii(i: int, j: int, k: int, g: Graph) -> Poly:
     """Triple relation  [u(ik),u(jk)] + [u(ik),u(j)] + [u(i),u(jk)]
-    - u(ij)(u(ik)-u(jk))  with non-edges zeroed."""
-    n = g.n
-    uik = _pair_poly(i, k, n, g)
-    ujk = _pair_poly(j, k, n, g)
-    ui, uj = _vertex_poly(i, n), _vertex_poly(j, n)
-
-    return (commutator(uik, ujk) + commutator(uik, uj) + commutator(ui, ujk)
-            - _pair_poly(i, j, n, g) * (uik - ujk))
+    - u(ij)(u(ik)-u(jk))  with non-edges zeroed: R({k},i,j) - R(empty,i,j)."""
+    return rel_10(NodeSet.of((k,), g.n), i, j, g) - theorem_rel_i(i, j, g)
 
 
 def theorem_rel_iii(i: int, j: int, k: int, el: int, g: Graph) -> Poly:
     """Disjoint-edge relation  [u(ij),u(kl)]  with non-edges zeroed."""
-    p = _pair_poly(i, j, g.n, g)
-    q = _pair_poly(k, el, g.n, g)
-    return commutator(p, q)
+    if not (g.has_edge(i, j) and g.has_edge(k, el)):
+        return Poly.zero()
+    return commutator(_u(g.n, i, j), _u(g.n, k, el))
 
 
 def theorem_relations(g: Graph) -> list[Poly]:
     """All instances of the three graph relation families, in a fixed order;
     instances that vanish identically under the non-edge convention are
     dropped."""
-    out: list[Poly] = []
-    n = g.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            r = theorem_rel_i(i, j, g)
-            if r:
-                out.append(r)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) == 3:
-                    r = theorem_rel_ii(i, j, k, g)
-                    if r:
-                        out.append(r)
-    es = g.sorted_edges()
-    for x in range(len(es)):
-        for y in range(x + 1, len(es)):
-            (i, j), (k, el) = es[x], es[y]
-            if not {i, j} & {k, el}:
-                r = theorem_rel_iii(i, j, k, el, g)
-                if r:
-                    out.append(r)
-    return out
+    nodes = range(1, g.n + 1)
+    out = [theorem_rel_i(i, j, g) for i, j in combinations(nodes, 2)]
+    out += [theorem_rel_ii(i, j, k, g) for i, j, k in permutations(nodes, 3)]
+    out += [theorem_rel_iii(i, j, k, el, g)
+            for (i, j), (k, el) in combinations(g.sorted_edges(), 2)
+            if not {i, j} & {k, el}]
+    return [r for r in out if r]
 
 
 def _ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -271,9 +254,11 @@ def all_z_symbols(n: int) -> list[Symbol]:
 
 def qn_presentation(n: int, form: str) -> Presentation:
     """The base algebra on n nodes, in z form (additive + multiplicative
-    relations) or u form (the rel_4 family)."""
+    relations) or u form (the rel_4 family).  Both forms are refused where
+    the rel_4 family is over the cap, so the base algebra has one size limit."""
     if form not in ("z", "u"):
         raise ValueError(f"form must be 'z' or 'u', got {form!r}")
+    _check_rel_4_words(n)
     if form == "z":
         alphabet = tuple(sorted(all_z_symbols(n), key=symbol_key))
         relations: list[Poly] = []
@@ -282,7 +267,6 @@ def qn_presentation(n: int, form: str) -> Presentation:
         for a, i, j in _instances(n):
             relations.append(rel_multiplicative(a, i, j))
         return Presentation(f"Qn(n={n},form=z)", alphabet, tuple(relations))
-    _check_rel_4_words(n)
     alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
     relations = [rel_4(a, i, j) for a, i, j in _instances(n)]
     return Presentation(f"Qn(n={n},form=u)", alphabet, tuple(relations))

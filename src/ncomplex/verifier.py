@@ -48,7 +48,6 @@ from .presentations import (
     rel_10,
     rel_additive,
     rel_multiplicative,
-    theorem_relations,
     u_in_z,
     z_in_u,
 )
@@ -116,7 +115,6 @@ def check_basis_lemma(n: int) -> CheckResult:
     def body():
         failures = []
         expected = 2 ** n - 1
-        # the u form first: it refuses an n whose rel_4 family is too big
         u_dim = graded_dimension(qn_presentation(n, "u"), 1)[1]
         zp = qn_presentation(n, "z")
         z_dim = graded_dimension(zp, 1)[1]
@@ -278,7 +276,7 @@ def check_proposition(c: Complex, degree_bound: int = 2) -> CheckResult:
 
 def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
     """The graph relations hold in the quotient (this covers every nonzero
-    triple relation instance, which theorem_relations includes), the recursion
+    triple relation instance, which the graph presentation holds), the recursion
     identity is an exact free-algebra identity, and every truncated quadratic
     follows from the graph relations alone."""
     if degree_bound < 2:
@@ -287,8 +285,8 @@ def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
         n = g.n
         failures = []
         qf_basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), degree_bound)
-        rels = theorem_relations(g)
-        for r in rels:
+        graph_pres = graph_presentation(g)
+        for r in graph_pres.relations:
             if not qf_basis.contains(r):
                 failures.append(f"graph relation {r} not in the quotient ideal")
 
@@ -299,7 +297,7 @@ def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
                 if identity_11_residual(a, i, j, k):
                     failures.append(f"identity (11) fails at A={a},i={i},j={j},k={k}")
 
-        graph_basis = TruncatedIdealBasis(graph_presentation(g), degree_bound)
+        graph_basis = TruncatedIdealBasis(graph_pres, degree_bound)
         induction = 0
         for a, i, j in _instances(n):
             induction += 1
@@ -307,7 +305,7 @@ def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
             if r and not graph_basis.contains(r):
                 failures.append(f"rel_10({a},{i},{j}) does not follow from "
                                 f"the graph relations")
-        witness = {"graph": str(g), "n": n, "relations": len(rels),
+        witness = {"graph": str(g), "n": n, "relations": len(graph_pres.relations),
                    "identity11_instances": id11, "rel12_instances": math.perm(n, 3),
                    "induction_instances": induction, "failures": failures}
         return not failures, witness
@@ -331,10 +329,11 @@ def check_presentation_equivalence(g: Graph, d: int) -> CheckResult:
 # aggregation
 # ---------------------------------------------------------------------------
 
-#: every check in report order: its subject ("n", a complex, or the graph of
-#: a complex of dimension <= 1) and how run_all calls it on one subject at
-#: the configured degree.  The lambdas look the check up by name when called,
-#: so rebinding a module attribute check_* (as a profiler does) reaches run_all.
+#: every check in run order (reports sort by check name): its subject ("n",
+#: a complex, or the graph of a complex of dimension <= 1) and how run_all
+#: calls it on one subject at the configured degree.  The lambdas look the
+#: check up by name when called, so rebinding a module attribute check_* (as
+#: a profiler does) reaches run_all.
 CHECKS: dict[str, tuple[str, Callable]] = {
     "basis_lemma": ("n", lambda n, d: check_basis_lemma(n)),
     "eq3_welldefined": ("n", lambda n, d: check_eq3_welldefined(n)),

@@ -3,13 +3,16 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+from ncomplex import cli
 from ncomplex.cli import main, parse_complex_file
 from ncomplex.free_algebra import Poly
 
@@ -222,27 +225,38 @@ def long_path(request, tmp_path):
     return n, words, str(p)
 
 
+def _run_refused(argv, n, words):
+    """Run the CLI in a child capped at 1 GiB; it must exit 2 within 2 s with
+    the rel_4 family refusal and print nothing."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ncomplex.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_address_space, timeout=60)
+    assert perf_counter() - start < 2.0, argv
+    assert proc.returncode == 2 and proc.stdout == "", argv
+    assert proc.stderr == (f"error: the rel_4 family on n={n} nodes has "
+                           f"{words} words, over the monomial cap 10000000\n")
+
+
 class TestRel4FamilyRefused:
     """Past n = 8 the rel_4 family holds over 10^7 words; every command that
-    would build it exits 2 before building any instance."""
+    would build it, and the base algebra in either form, exits 2 before
+    building any instance."""
 
     def test_refused_fast_in_a_small_address_space(self, long_path):
         n, words, path = long_path
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
         for argv in (["hilbert", "--complex", path, "--max-degree", "1"],
                      ["membership", "--complex", path, "--poly", "u({1})",
                       "--max-degree", "2"],
                      ["verify", "--complex", path],
                      ["verify", "--n", str(n)]):
-            start = perf_counter()
-            proc = subprocess.run([sys.executable, "-m", "ncomplex.cli", *argv],
-                                  capture_output=True, text=True, env=env,
-                                  preexec_fn=_limit_address_space, timeout=60)
-            assert perf_counter() - start < 2.0, argv
-            assert proc.returncode == 2 and proc.stdout == "", argv
-            assert proc.stderr == (f"error: the rel_4 family on n={n} nodes has "
-                                   f"{words} words, over the monomial cap 10000000\n")
+            _run_refused(argv, n, words)
+
+    @pytest.mark.parametrize("n,words", [(9, 22500000), (12, 5156250000)])
+    def test_z_form_refused_with_the_base_algebra(self, n, words):
+        _run_refused(["verify", "--n", str(n), "--checks", "eq3_welldefined"], n, words)
 
     def test_graph_presentation_still_answers(self, capsys, tmp_path):
         p = tmp_path / "path16.json"
@@ -374,3 +388,34 @@ class TestVerifyCommand:
             for e in o["entries"]:
                 e["millis"] = 0
         assert o1 == o2
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, "closure", exhausted)
+    code, out, err = run(capsys, ["closure", "--complex", "missing.json"])
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def readme_examples():
+    """(argv, stdout) of each README example of relations, hilbert and
+    membership: the command line and the `# ` lines printed under it."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    out = []
+    for x, line in enumerate(lines):
+        argv = shlex.split(line) if line.startswith("ncomplex ") else []
+        if argv[1:2] and argv[1] in ("relations", "hilbert", "membership"):
+            shown = list(takewhile(lambda s: s.startswith("# "), lines[x + 1:]))
+            if shown:
+                out.append((argv[1:], "".join(s[2:] + "\n" for s in shown)))
+    return out
+
+
+def test_readme_examples_print_what_readme_shows(capsys, monkeypatch, tmp_path,
+                                                 path3, edgeless3):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["relations", "hilbert", "membership"]
+    for argv, shown in examples:
+        assert run(capsys, argv) == (0, shown, ""), argv

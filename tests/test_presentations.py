@@ -7,6 +7,7 @@ truncated quadratic against an explicit kill-substitution of the commutator
 form.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -38,6 +39,7 @@ from ncomplex.presentations import (
     rel_multiplicative,
     theorem_rel_i,
     theorem_rel_ii,
+    theorem_rel_iii,
     theorem_relations,
     u_in_z,
     z_in_u,
@@ -86,6 +88,13 @@ def kill_large_images(n):
     """u(S) -> 0 for |S| >= 3, identity otherwise (independent truncation)."""
     return {s: (Poly.zero() if s.a.size >= 3 else Poly.from_symbol(s))
             for s in all_u_symbols(n)}
+
+
+def all_graphs(n):
+    """Every graph on the nodes 1..n."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return [Graph.from_edges([e for b, e in enumerate(pairs) if mask >> b & 1], n)
+            for mask in range(2 ** len(pairs))]
 
 
 class TestZRelations:
@@ -298,9 +307,7 @@ class TestTheoremRelations:
         # the verifier checks theorem_relations(g) only, so it must hold every
         # nonzero triple relation instance
         for n in range(1, 5):
-            pairs = list(combinations(range(1, n + 1), 2))
-            for mask in range(2 ** len(pairs)):
-                g = Graph.from_edges([e for b, e in enumerate(pairs) if mask >> b & 1], n)
+            for g in all_graphs(n):
                 rels = theorem_relations(g)
                 for i, j, k in permutations(range(1, n + 1), 3):
                     r = theorem_rel_ii(i, j, k, g)
@@ -310,6 +317,112 @@ class TestTheoremRelations:
         assert len(theorem_relations(path_graph(3))) == 9
         assert len(theorem_relations(complete_graph(3))) == 9
         assert len(theorem_relations(complete_graph(4))) == 33  # 6 + 24 + 3
+
+
+# Poly-arithmetic forms of the quadratic R(A,i,j) and of the graph relations,
+# kept as oracles for the one shared term-listing builder in presentations.
+
+def pair_oracle(i, j, n, graph=None):
+    if graph is not None and not graph.has_edge(i, j):
+        return Poly.zero()
+    return up(i, j, n=n)
+
+
+def rel_4_oracle(a, i, j):
+    si, sj, sij = subset_sum(a, i), subset_sum(a, j), subset_sum(a, i, j)
+    return (sj + sij) * si - (si + sij) * sj
+
+
+def rel_10_oracle(a, i, j, graph=None):
+    n = a.n
+    pi = sum((pair_oracle(i, k, n, graph) for k in a), up(i, n=n))
+    pj = sum((pair_oracle(j, k, n, graph) for k in a), up(j, n=n))
+    return commutator(pi, pj) - pair_oracle(i, j, n, graph) * (pi - pj)
+
+
+def rel_i_oracle(i, j, g):
+    ui, uj = up(i, n=g.n), up(j, n=g.n)
+    return commutator(ui, uj) - pair_oracle(i, j, g.n, g) * (ui - uj)
+
+
+def rel_ii_oracle(i, j, k, g):
+    n = g.n
+    uik, ujk = pair_oracle(i, k, n, g), pair_oracle(j, k, n, g)
+    ui, uj = up(i, n=n), up(j, n=n)
+    return (commutator(uik, ujk) + commutator(uik, uj) + commutator(ui, ujk)
+            - pair_oracle(i, j, n, g) * (uik - ujk))
+
+
+def rel_iii_oracle(i, j, k, el, g):
+    return commutator(pair_oracle(i, j, g.n, g), pair_oracle(k, el, g.n, g))
+
+
+def theorem_relations_oracle(g):
+    n = g.n
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out.append(rel_i_oracle(i, j, g))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if len({i, j, k}) == 3:
+                    out.append(rel_ii_oracle(i, j, k, g))
+    es = g.sorted_edges()
+    for x in range(len(es)):
+        for y in range(x + 1, len(es)):
+            (i, j), (k, el) = es[x], es[y]
+            if not {i, j} & {k, el}:
+                out.append(rel_iii_oracle(i, j, k, el, g))
+    return [r for r in out if r]
+
+
+def all_fractions(p):
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+class TestQuadraticBuilder:
+    """rel_4, rel_10 and the graph relations list their terms through one
+    builder; each must equal its product-and-commutator form."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rel_4_and_rel_10_match_their_product_forms(self, n):
+        for a, i, j in instances(n):
+            got = rel_4(a, i, j)
+            assert got.terms == rel_4_oracle(a, i, j).terms, (a, i, j)
+            assert all_fractions(got)
+            got = rel_10(a, i, j)
+            assert got.terms == rel_10_oracle(a, i, j).terms, (a, i, j)
+            assert all_fractions(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_graph_relations_match_their_commutator_forms(self, n):
+        for g in all_graphs(n):
+            for a, i, j in instances(n):
+                got = rel_10(a, i, j, graph=g)
+                assert got.terms == rel_10_oracle(a, i, j, g).terms, (str(g), a, i, j)
+                assert all_fractions(got)
+            for i, j in permutations(range(1, n + 1), 2):
+                assert theorem_rel_i(i, j, g).terms == rel_i_oracle(i, j, g).terms
+            for i, j, k in permutations(range(1, n + 1), 3):
+                got = theorem_rel_ii(i, j, k, g)
+                assert got.terms == rel_ii_oracle(i, j, k, g).terms, (str(g), i, j, k)
+            for i, j, k, el in permutations(range(1, n + 1), 4):
+                got = theorem_rel_iii(i, j, k, el, g)
+                assert got.terms == rel_iii_oracle(i, j, k, el, g).terms
+            rels = theorem_relations(g)
+            assert rels == theorem_relations_oracle(g), str(g)
+            assert all(all_fractions(r) for r in rels)
+
+    def test_repeated_index_is_refused(self):
+        g = complete_graph(3)
+        with pytest.raises(ValueError, match="indices must differ"):
+            theorem_rel_i(1, 1, g)
+        with pytest.raises(ValueError, match="indices must differ"):
+            theorem_rel_ii(1, 1, 2, g)
+        for i, j, k in ((1, 2, 1), (1, 2, 2)):
+            with pytest.raises(ValueError, match="lies in A"):
+                theorem_rel_ii(i, j, k, g)
 
 
 class TestPresentations:
