@@ -6,8 +6,8 @@ represented by the empty word, never by a symbol.  Every generator has degree
 1, so the relation families built on top of this module are homogeneous and
 the quotient algebras are graded.
 
-Coefficients are exact rationals; polynomials are canonical term maps, so
-equality is literal equality of the maps.
+Coefficients are exact rationals: int where integral, else Fraction (``exact``);
+polynomials are canonical term maps, so equality is literal equality of the maps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,20 @@ MONOMIAL_CAP = 10**7
 #: its words, so a one-letter alphabet cannot ask for millions of slices
 MIN_SLICE_CHARGE = 1000
 
+#: a coefficient: an int where integral, else a Fraction (``exact`` makes it so)
 Rational = Fraction | int
+
+
+def exact(c: Rational) -> Rational:
+    """c as an int when it is integral, else as a Fraction.  Only int and
+    Fraction are coefficients: a float, str or Decimal raises TypeError."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is Fraction:  # its slots: the public properties are Python calls
+        return c._numerator if c._denominator == 1 else c
+    if isinstance(c, (int, Fraction)):
+        return exact(Fraction(c))
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -116,11 +129,11 @@ class Poly:
     __slots__ = ("_terms", "_n")
 
     def __init__(self, terms: Mapping[Word, Rational] | None = None):
-        data: dict[Word, Fraction] = {}
+        data: dict[Word, Rational] = {}
         n = None
         for w, c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
+            c = exact(c)
+            if not c:
                 continue
             for s in w:
                 if n is None:
@@ -132,9 +145,9 @@ class Poly:
         self._n = n
 
     @classmethod
-    def _canonical(cls, terms: dict[Word, Fraction], n: int | None) -> "Poly":
-        """Take over a canonical map (nonzero Fractions, symbols over universe
-        n) unchecked; like Poly(), forget n when no word but the unit is left."""
+    def _canonical(cls, terms: dict[Word, Rational], n: int | None) -> "Poly":
+        """Take over a canonical map (nonzero ``exact`` coefficients, symbols over
+        universe n) unchecked; like Poly(), forget n when only the unit word is left."""
         p = object.__new__(cls)
         p._terms = terms
         p._n = n if any(terms) else None
@@ -146,18 +159,18 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._canonical({(): Fraction(1)}, None)
+        return cls._canonical({(): 1}, None)
 
     @classmethod
     def from_symbol(cls, s: Symbol) -> "Poly":
-        return cls._canonical({(s,): Fraction(1)}, s.n)
+        return cls._canonical({(s,): 1}, s.n)
 
     @classmethod
     def term(cls, coeff: Rational, word: Word) -> "Poly":
-        return cls({tuple(word): Fraction(coeff)})
+        return cls({tuple(word): coeff})
 
     @property
-    def terms(self) -> dict[Word, Fraction]:
+    def terms(self) -> dict[Word, Rational]:
         return dict(self._terms)
 
     def __bool__(self) -> bool:
@@ -181,7 +194,7 @@ class Poly:
         for w, c in other._terms.items():
             acc = out.get(w, 0) + c
             if acc:
-                out[w] = acc
+                out[w] = exact(acc)
             else:
                 out.pop(w, None)
         return Poly._canonical(out, self._n or other._n)
@@ -193,27 +206,27 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.__rmul__(other)
         self._check_universe(other)
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Rational] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 w = w1 + w2
                 acc = out.get(w, 0) + c1 * c2
                 if acc:
-                    out[w] = acc
+                    out[w] = exact(acc)
                 else:
                     out.pop(w, None)
         return Poly._canonical(out, self._n or other._n)
 
     def __rmul__(self, other: Rational) -> "Poly":
-        return self.scale(other)
+        return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
 
     def scale(self, c: Rational) -> "Poly":
-        c = Fraction(c)
-        return Poly._canonical({w: c * x for w, x in self._terms.items()} if c else {},
-                               self._n)
+        c = exact(c)
+        return Poly._canonical({w: exact(c * x) for w, x in self._terms.items()}
+                               if c else {}, self._n)
 
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self._terms})
@@ -239,7 +252,7 @@ class Poly:
     def symbols(self) -> set[Symbol]:
         return {s for w in self._terms for s in w}
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Word, Rational]]:
         return sorted(self._terms.items(), key=lambda wc: word_key(wc[0]))
 
     def __str__(self) -> str:
@@ -256,7 +269,7 @@ def commutator(p: Poly, q: Poly) -> Poly:
 
 def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
     """Apply the algebra homomorphism sending each symbol to its image."""
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, Rational] = {}
     universes = set()
     for w, c in p._terms.items():
         acc = Poly._canonical({(): c}, None)
@@ -271,7 +284,7 @@ def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
     universes.discard(None)
     if len(universes) > 1:
         return Poly(out)  # images over two universes: the checks decide
-    return Poly._canonical({w: c for w, c in out.items() if c},
+    return Poly._canonical({w: exact(c) for w, c in out.items() if c},
                            universes.pop() if universes else None)
 
 
@@ -315,10 +328,6 @@ def word_text(w: Word) -> str:
     return "*".join(str(s) for s in w)
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def poly_text(p: Poly) -> str:
     """Terms in ascending canonical monomial order, signs folded into ' + '
     / ' - ' separators, unit coefficients omitted before nonunit words."""
@@ -329,11 +338,11 @@ def poly_text(p: Poly) -> str:
         neg = c < 0
         mag = -c if neg else c
         if not w:
-            body = _coeff_text(mag)
+            body = str(mag)
         elif mag == 1:
             body = word_text(w)
         else:
-            body = f"{_coeff_text(mag)}*{word_text(w)}"
+            body = f"{mag}*{word_text(w)}"
         if k == 0:
             parts.append(f"-{body}" if neg else body)
         else:

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .complexes import NodeSet
-from .free_algebra import Poly, commutator, u, z
+from .free_algebra import Poly, Rational, commutator, exact, u, z
 
 #: refuse expressions that nest '(' and '[' deeper than this
 NESTING_CAP = 100
@@ -79,15 +79,15 @@ class _Parser:
         self.advance()
         return value
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Rational:
         num = self.integer()
         if self.tok == "/":
             self.advance()
             den = self.integer()
             if den == 0:
                 raise ValueError("zero denominator in coefficient")
-            return Fraction(num, den)
-        return Fraction(num)
+            return exact(Fraction(num, den))
+        return num
 
     def node_set(self) -> NodeSet:
         self.take("{")
@@ -163,7 +163,7 @@ class _Parser:
             for w, c in self.term()._terms.items():
                 acc = out.get(w, 0) + (-c if negate else c)
                 if acc:
-                    out[w] = acc
+                    out[w] = exact(acc)
                 else:
                     out.pop(w, None)
             if self.tok not in ("+", "-"):

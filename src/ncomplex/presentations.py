@@ -21,7 +21,6 @@ that the checks and tests compare the builder against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from .complexes import Complex, Graph, NodeSet
@@ -77,7 +76,7 @@ def rel_multiplicative(a: NodeSet, i: int, j: int) -> Poly:
 def _subset_sum(a: NodeSet, *top: int) -> Poly:
     """The sum of u(D + top) over all D inside A."""
     t = NodeSet.of(top, a.n)
-    return Poly._canonical({(u(d | t),): Fraction(1) for d in a.subsets()}, a.n)
+    return Poly._canonical({(u(d | t),): 1 for d in a.subsets()}, a.n)
 
 
 def z_in_u(a: NodeSet, i: int) -> Poly:
@@ -93,10 +92,8 @@ def u_in_z(a: NodeSet, i: int) -> Poly:
     if i not in a:
         raise ValueError(f"index i={i} must lie in A={a}")
     rest = a.minus(i)
-    out: dict[Word, Fraction] = {}
-    for d in rest.subsets():
-        out[(z(d, i),)] = Fraction(-1) ** (a.size - d.size - 1)
-    return Poly(out)
+    return Poly._canonical({(z(d, i),): (-1) ** (a.size - d.size - 1)
+                            for d in rest.subsets()}, a.n)
 
 
 def _quadratic(si: list[Symbol], sj: list[Symbol], sij: list[Symbol], n: int) -> Poly:
@@ -104,10 +101,8 @@ def _quadratic(si: list[Symbol], sj: list[Symbol], sij: list[Symbol], n: int) ->
     letters: those holding i but not j, j but not i, and both.  The four
     products S_i S_j, S_ij S_j, S_j S_i and S_ij S_i have disjoint words (their
     letters differ in which of i, j they hold), so every coefficient is +-1."""
-    one, minus_one = Fraction(1), Fraction(-1)
-    terms: dict[Word, Fraction] = {}
-    for left, right, c in ((si, sj, one), (sij, sj, one),
-                           (sj, si, minus_one), (sij, si, minus_one)):
+    terms: dict[Word, int] = {}
+    for left, right, c in ((si, sj, 1), (sij, sj, 1), (sj, si, -1), (sij, si, -1)):
         for x in left:
             for y in right:
                 terms[x, y] = c

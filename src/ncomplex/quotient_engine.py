@@ -35,18 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .free_algebra import Poly, Rational, Symbol, Word, _check_word_count, symbol_key
+from .free_algebra import Poly, Rational, Symbol, Word, _check_word_count, exact, symbol_key
 from .presentations import Presentation
 
 #: refuse slices whose spanning rows would hold more nonzeros than this
 MATRIX_ENTRY_CAP = 10**7
 
 Vector = dict[int, Rational]
-
-
-def _exact(x: Rational) -> Rational:
-    """x as an int when it is integral, else as a Fraction."""
-    return x.numerator if x.denominator == 1 else x
 
 
 class Echelon:
@@ -98,7 +93,7 @@ class Echelon:
         lead = max(r)
         # a pivot of +-1 is its own inverse; 1 / int would give a float
         inv = r[lead] if r[lead] in (1, -1) else 1 / Fraction(r[lead])
-        self.pivots[lead] = {c: _exact(x * inv) for c, x in r.items()}
+        self.pivots[lead] = {c: exact(x * inv) for c, x in r.items()}
         return True
 
 
@@ -168,14 +163,14 @@ class TruncatedIdealBasis:
         index = {s: p for p, s in enumerate(letters)}
         for deg, r in rels:
             if deg == 1:
-                linear.insert({index[w[0]]: _exact(c) for w, c in r._terms.items()})
+                linear.insert({index[w[0]]: c for w, c in r._terms.items()})
         survivors = [p for p in range(k) if p not in linear.pivots]
         self.letters = [letters[p] for p in survivors]
         self.k = len(self.letters)
         self._sym_index = {s: i for i, s in enumerate(self.letters)}
         column = dict(zip(survivors, range(self.k)))
         # every letter's normal form over the surviving letters
-        self._image = {letters[p]: [(column[c], _exact(x))
+        self._image = {letters[p]: [(column[c], exact(x))
                                     for c, x in linear.reduce({p: 1}).items()]
                        for p in range(k)}
         # the relations of degrees 2..max_degree over the surviving letters, by
@@ -259,9 +254,9 @@ class TruncatedIdealBasis:
                 col = col * k + pos
             else:
                 # distinct words over the surviving letters: distinct columns
-                vec[col] = _exact(c)
+                vec[col] = c
         for w, c in expanded:
-            for col, x in self._expand(w, _exact(c)):
+            for col, x in self._expand(w, c):
                 acc = vec.get(col, 0) + x
                 if acc:
                     vec[col] = acc
@@ -295,7 +290,7 @@ class TruncatedIdealBasis:
         if deg > self.max_degree:
             raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
         rem = self.slices[deg].reduce(self._vector(q))
-        return Poly._canonical({_index_word(c, self.letters, deg): Fraction(x)
+        return Poly._canonical({_index_word(c, self.letters, deg): exact(x)
                                 for c, x in rem.items()}, q._n)
 
     def rank(self, e: int) -> int:

@@ -155,6 +155,72 @@ class TestRelationsCommand:
         assert "--B must be a comma-separated list of vertices, got '1,x'" in err
 
 
+class TestGoldenOutput:
+    """Stdout frozen from the all-Fraction coefficient store: keeping
+    integral coefficients as int must not change a byte."""
+
+    def test_membership_with_fractional_coefficients(self, capsys, path3):
+        code, out, _ = run(capsys, [
+            "membership", "--complex", path3, "--poly",
+            "1/2*u({1})*u({3})-2/3*u({3})*u({1,2})+3*u({2})*u({2})",
+            "--max-degree", "2"])
+        assert code == 1
+        assert out == ("non-member\n"
+                       "remainder: 1/2*u({1})*u({3}) + 3*u({2})*u({2})"
+                       " - 2/3*u({3})*u({1,2})\n")
+
+    @pytest.mark.parametrize("family,args,expected", [
+        ("1", "--n 3 --A 3 --i 1 --j 2",
+         'z({3},1) - z({3},2) + z({1,3},2) - z({2,3},1)'),
+        ("2", "--n 3 --A 3 --i 1 --j 2",
+         'z({1,3},2)*z({3},1) - z({2,3},1)*z({3},2)'),
+        ("4", "--n 3 --A 3 --i 1 --j 2",
+         '-u({1})*u({2}) - u({1})*u({2,3}) + u({2})*u({1})'
+         ' + u({2})*u({1,3}) + u({1,2})*u({1}) - u({1,2})*u({2})'
+         ' + u({1,2})*u({1,3}) - u({1,2})*u({2,3}) - u({1,3})*u({2})'
+         ' - u({1,3})*u({2,3}) + u({2,3})*u({1}) + u({2,3})*u({1,3})'
+         ' + u({1,2,3})*u({1}) - u({1,2,3})*u({2}) + u({1,2,3})*u({1,3})'
+         ' - u({1,2,3})*u({2,3})'),
+        ("5", "--n 3 --A 3 --i 2 --j 1",
+         '-u({1})*u({2}) - u({1})*u({2,3}) + u({2})*u({1})'
+         ' + u({2})*u({1,3}) + u({1,2})*u({1}) - u({1,2})*u({2})'
+         ' + u({1,2})*u({1,3}) - u({1,2})*u({2,3}) - u({1,3})*u({2})'
+         ' - u({1,3})*u({2,3}) + u({2,3})*u({1}) + u({2,3})*u({1,3})'
+         ' + u({1,2,3})*u({1}) - u({1,2,3})*u({2}) + u({1,2,3})*u({1,3})'
+         ' - u({1,2,3})*u({2,3})'),
+        ("9", "--n 4 --A 3 --B 4 --i 1 --j 2",
+         'u({1})*u({2}) + u({1})*u({2,4}) - u({2})*u({1})'
+         ' - u({2})*u({1,3}) + u({1,3})*u({2}) + u({1,3})*u({2,4})'
+         ' - u({2,4})*u({1}) - u({2,4})*u({1,3})'),
+        ("10", "--n 3 --A 3 --i 1 --j 2",
+         'u({1})*u({2}) + u({1})*u({2,3}) - u({2})*u({1})'
+         ' - u({2})*u({1,3}) - u({1,2})*u({1}) + u({1,2})*u({2})'
+         ' - u({1,2})*u({1,3}) + u({1,2})*u({2,3}) + u({1,3})*u({2})'
+         ' + u({1,3})*u({2,3}) - u({2,3})*u({1}) - u({2,3})*u({1,3})'),
+    ], ids=["1", "2", "4", "5", "9", "10"])
+    def test_relations(self, capsys, family, args, expected):
+        code, out, _ = run(capsys, ["relations", "--family", family, *args.split()])
+        assert code == 0
+        assert out == expected + "\n"
+
+    def test_relations_theorem(self, capsys, path3):
+        code, out, _ = run(capsys, ["relations", "--family", "theorem",
+                                    "--complex", path3])
+        assert code == 0
+        assert out == (
+            "u({1})*u({2}) - u({2})*u({1}) - u({1,2})*u({1}) + u({1,2})*u({2})\n"
+            "u({1})*u({3}) - u({3})*u({1})\n"
+            "u({2})*u({3}) - u({3})*u({2}) - u({2,3})*u({2}) + u({2,3})*u({3})\n"
+            "u({1})*u({2,3}) + u({1,2})*u({2,3}) - u({2,3})*u({1})\n"
+            "u({1})*u({2,3}) - u({3})*u({1,2}) + u({1,2})*u({3})"
+            " + u({1,2})*u({2,3}) - u({2,3})*u({1}) - u({2,3})*u({1,2})\n"
+            "-u({1})*u({2,3}) - u({1,2})*u({2,3}) + u({2,3})*u({1})\n"
+            "-u({3})*u({1,2}) + u({1,2})*u({3}) - u({2,3})*u({1,2})\n"
+            "-u({1})*u({2,3}) + u({3})*u({1,2}) - u({1,2})*u({3})"
+            " - u({1,2})*u({2,3}) + u({2,3})*u({1}) + u({2,3})*u({1,2})\n"
+            "u({3})*u({1,2}) - u({1,2})*u({3}) + u({2,3})*u({1,2})\n")
+
+
 class TestHilbertCommand:
     def test_documented_invocation(self, capsys, edgeless3):
         code, out, _ = run(capsys, ["hilbert", "--complex", edgeless3,

@@ -1,6 +1,7 @@
 """Tests for the free-algebra layer: arithmetic, canonical form, text form."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,34 @@ class TestArithmetic:
         p = us(1) + 2 * us(2)
         assert p.scale(Fraction(1, 2)) == Fraction(1, 2) * us(1) + us(2)
 
+    def test_integral_coefficients_are_ints(self):
+        assert Poly.one().terms == {(): 1} and type(Poly.one().terms[()]) is int
+        assert type(Poly({(): Fraction(6, 3)}).terms[()]) is int
+        assert type(Poly.term(True, ()).terms[()]) is int
+        half = us(1).scale(Fraction(1, 2))
+        # two words with coefficient 1/2 that substitute sends to one word
+        halves = substitute(half + us(2).scale(Fraction(1, 2)),
+                            {u(NodeSet.of((v,), 3)): us(1) for v in (1, 2)})
+        for p in (half + half, half * 2, 2 * half, half.scale(Fraction(4, 2)),
+                  (Fraction(1, 2) * Poly.one()) * (2 * us(1)), halves):
+            assert p == us(1)
+            assert_canonical(p)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.25, "1/3", Decimal("0.5"), None],
+                             ids=["float", "float-exact", "str", "Decimal", "None"])
+    def test_non_rational_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            Poly({(): bad})
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            Poly.term(bad, ())
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            us(1).scale(bad)
+        # Poly declines the operand; a str then names its own operation
+        with pytest.raises(TypeError):
+            us(1) * bad
+        with pytest.raises(TypeError):
+            bad * us(1)
+
     def test_mixed_universe_rejected(self):
         with pytest.raises(ValueError, match="mixed universes"):
             us(1, n=2) * us(1, n=3)
@@ -160,11 +189,15 @@ class TestArithmetic:
 
 
 def assert_canonical(p):
-    """p equals the same map rebuilt through the checking constructor."""
+    """p equals the same map rebuilt through the checking constructor, and
+    each coefficient is nonzero, an int exactly when it is integral and a
+    Fraction otherwise."""
     rebuilt = Poly(p.terms)
     assert rebuilt.terms == p.terms
     assert rebuilt._n == p._n
-    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
 
 
 class TestTrustedResults:
@@ -202,8 +235,10 @@ class TestTrustedResults:
                 images = {s: self.small_poly(rng, max_degree=1) for s in self.LETTERS}
                 r = substitute(p, images)
             assert_canonical(r)
-            # a cancellation must leave the zero polynomial behind
+            # a cancellation must leave the zero polynomial behind, and a
+            # doubled half an int
             assert_canonical(r - r)
+            assert_canonical(r + r)
             assert r - r == Poly.zero()
             if len(r.terms) <= 12 and max(r.degrees(), default=0) <= 4:
                 pool.append(r)

@@ -7,9 +7,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ncomplex.free_algebra import Poly, poly_text  # noqa: E402
+from ncomplex.free_algebra import Poly, poly_text, word_text  # noqa: E402
 from ncomplex.parsing import parse_poly  # noqa: E402
 from ncomplex.presentations import all_u_symbols, all_z_symbols  # noqa: E402
+from test_free_algebra import assert_canonical  # noqa: E402
 
 LETTERS = all_z_symbols(3) + all_u_symbols(3)
 
@@ -38,3 +39,17 @@ def test_term_with_unit_factors(w, c):
     # u({}) may stand between any two factors of a term
     factors = [f"({c})"] + [f for s in w for f in ("u({})", str(s))] + ["u({})"]
     assert parse_poly("*".join(factors), 3) == Poly({w: c})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(words, coefficients), max_size=6))
+def test_parsed_coefficients_are_int_where_integral(terms):
+    # terms may repeat a word, so fractions can sum to an integer (or to 0)
+    text = " + ".join(f"({c})*{word_text(w)}" for w, c in terms) or "0"
+    p = parse_poly(text, 3)
+    assert_canonical(p)
+    total = Poly.zero()
+    for w, c in terms:
+        total = total + Poly.term(c, w)
+    assert p == total
+    assert_canonical(parse_poly(f"{text.replace('/', ' / ')} - 3/3", 3))

@@ -56,6 +56,7 @@ from ncomplex.quotient_engine import (
     _index_word,
     graded_dimension,
 )
+from test_free_algebra import assert_canonical
 
 
 def ns(*elems, n=3):
@@ -413,32 +414,36 @@ class TestEngineProperties:
         assert [s.rows_reduced for s in basis.stats] == expected
         assert rows_reduced_bounded(basis)
 
-    @pytest.mark.parametrize("pres,expected", [
+    @pytest.mark.parametrize("pres,expected,remainder", [
         (qn_presentation(3, "u"),
-         "4867dca0272d6819d6c1ab5e4ab939508c6ae8e74a0b8a2a9750ccfbd79c6be8"),
+         "4867dca0272d6819d6c1ab5e4ab939508c6ae8e74a0b8a2a9750ccfbd79c6be8",
+         [Fraction(1, 2), 3]),
         (graph_presentation(cycle_graph(4)),
-         "0da5dd8e1f414eb52f7e7cc0c3340ae821ed23f5bb309d53572bbce596c1c824"),
+         "0da5dd8e1f414eb52f7e7cc0c3340ae821ed23f5bb309d53572bbce596c1c824",
+         [-3, -3, -3, 3, 3, 3, 3, 3, Fraction(7, 2), Fraction(7, 2)]),
     ], ids=["Q3-u", "graph-C4"])
-    def test_stored_rows_frozen(self, pres, expected):
+    def test_stored_rows_frozen(self, pres, expected, remainder):
         # the digests were taken from an all-Fraction row store, so the int
-        # rows must equal those rows entry for entry
+        # rows must equal those rows entry for entry; the remainder's values
+        # are those of the all-Fraction Poly, each an int where integral
         basis = TruncatedIdealBasis(pres, 4)
         assert all(type(x) is int for x in stored_entries(basis.slices))
         assert row_digest(basis) == expected
         x, y = pres.alphabet[0], pres.alphabet[-1]
         rem = basis.reduce(Poly({(x, y, x, y): Fraction(1, 2), (y, y, x, x): 3}))
-        assert rem and all(type(c) is Fraction for c in rem.terms.values())
+        assert sorted(rem.terms.values()) == remainder
+        assert_canonical(rem)
 
     def test_additive_echelon_stores_ints(self):
         # vectors of integral Fractions inserted straight into an Echelon
-        # still come out as int
+        # still come out as int (the relations themselves hold int +-1)
         letters = sorted(all_z_symbols(3), key=symbol_key)
         index = {s: c for c, s in enumerate(letters)}
         ech = Echelon()
         for a, i, j in _instances(3):
-            vec = {index[w[0]]: c for w, c in rel_additive(a, i, j).terms.items()}
-            assert all(type(c) is Fraction for c in vec.values())
-            ech.insert(vec)
+            terms = rel_additive(a, i, j).terms
+            assert all(type(c) is int for c in terms.values())
+            ech.insert({index[w[0]]: Fraction(c) for w, c in terms.items()})
         assert len(letters) - ech.rank == 7
         assert all(type(x) is int for x in stored_entries([ech]))
 

@@ -14,6 +14,7 @@ from ncomplex.complexes import NodeSet  # noqa: E402
 from ncomplex.free_algebra import Poly, reversed_symbol_key, symbol_key, z  # noqa: E402
 from ncomplex.presentations import Presentation, all_u_symbols  # noqa: E402
 from ncomplex.quotient_engine import TruncatedIdealBasis  # noqa: E402
+from test_free_algebra import assert_canonical  # noqa: E402
 from test_quotient_engine import assert_same_construction  # noqa: E402
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -92,7 +93,8 @@ def raised(call, q):
 @given(st.one_of(presentations(), eliminating_presentations()), keys, st.data())
 def test_contains_is_reduce_to_zero(case, key, data):
     """contains(q) is (not reduce(q)) on zero, member and random queries with
-    non-integer coefficients, and both refuse a bad query with one message."""
+    non-integer coefficients, every remainder holds an int exactly where its
+    coefficient is integral, and both refuse a bad query with one message."""
     pres, d = case
     basis = TruncatedIdealBasis(pres, d, key=key)
     alphabet = list(pres.alphabet)
@@ -107,6 +109,7 @@ def test_contains_is_reduce_to_zero(case, key, data):
             member = member + m1 * g * m2
     for query in (Poly.zero(), member, q, q + member):
         assert basis.contains(query) == (not basis.reduce(query))
+        assert_canonical(basis.reduce(query))
     assert not basis.reduce(member)
     assert basis.reduce(q + member) == basis.reduce(q)
     x = Poly.from_symbol(alphabet[0])
