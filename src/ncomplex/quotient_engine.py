@@ -2,10 +2,12 @@
 
 For a presentation with homogeneous relations, the ideal it generates is
 graded, and its degree-e slice is spanned by the products m1 * g * m2 where g
-is a relation and deg m1 + deg g + deg m2 = e.  This module materializes those
-spanning rows degree by degree as sparse rational vectors over the canonical
-word list, keeps them in triangular (distinct leading column) form, and
-answers membership, rank and quotient-basis queries from that structure.
+is a relation and deg m1 + deg g + deg m2 = e.  Those with m1 nonempty are
+letter shifts x * r of the degree below, so I_e = V * I_(e-1) + sum over g
+of g * V^(e - deg g).  This module builds the slices degree by degree as
+sparse rational vectors over the canonical word list in triangular (distinct
+leading column) form, and answers membership, rank and quotient-basis
+queries from that structure.
 Coefficients stay exact, never float: int where integral, else Fraction.
 
 The degree-1 relations are echelonized first.  Each of their pivot letters
@@ -16,10 +18,11 @@ holds an eliminated letter is then a leading word of the full ideal, so the
 standard words, dimensions, quotient bases and remainders are those of the
 full ideal.
 
-A product that is a one-letter shift x * r or r * y of a row r found
-dependent at the degree below depends on the rows before it too, so it is
-skipped without being reduced; the stored rows equal those of reducing every
-product.
+Each slice first stores x * r for every letter x and stored row r of the
+degree below, without reducing them: a shift keeps each pivot its row's
+largest column, and the pivots stay distinct.  Only the products g * m2 are
+then reduced, and one that is a right shift r * y of a row r found dependent
+at the degree below is skipped, as it depends on the rows before it too.
 
 Normal forms are canonical: a reduced remainder is supported only on
 non-pivot columns, and the projection along the row space onto those
@@ -112,10 +115,11 @@ class SliceStats:
     size of its spanning set, the sum over relations g of
     (e - deg g + 1) * k^(e - deg g) with k the given alphabet's size;
     ``rows_reduced`` counts the rows actually passed to ``Echelon.insert``
-    (the degree-1 relations at degree 1, and the products of the other
-    relations, rewritten over the surviving letters, that are not shifts of
-    dependent rows); ``rank`` is the rank of the full ideal's slice, k^e
-    minus the quotient dimension."""
+    (the degree-1 relations at degree 1, and the products g * m2 of the
+    other relations, rewritten over the surviving letters, that are not
+    right shifts of dependent rows), not the letter shifts of the degree
+    below's rows, which are copied; ``rank`` is the rank of the full ideal's
+    slice, k^e minus the quotient dimension."""
     rows_generated: int
     rows_reduced: int
     rank: int
@@ -183,7 +187,7 @@ class TruncatedIdealBasis:
                     self._relations.append((deg, list(vec.items())))
         self.slices: list[Echelon] = []
         self.stats: list[SliceStats] = []
-        dependent: dict[tuple[int, int], bytearray] = {}
+        dependent: list[bytearray] = []
         for e in range(max_degree + 1):
             ech, reduced, dependent = self._build_slice(e, dependent)
             self.slices.append(ech)
@@ -192,47 +196,38 @@ class TruncatedIdealBasis:
                 rows_reduced=spanning[1] if e == 1 else reduced,
                 rank=k ** e - self.dimension(e)))
 
-    def _build_slice(self, e: int, parents: dict[tuple[int, int], bytearray]
-                     ) -> tuple[Echelon, int, dict[tuple[int, int], bytearray]]:
+    def _build_slice(self, e: int, parents: list[bytearray]
+                     ) -> tuple[Echelon, int, list[bytearray]]:
         """Echelon of the eliminated ideal's degree-e slice, the number of
-        rows inserted, and the dependent flags of its rows by (relation, a).
-        ``parents`` holds the flags of degree e-1."""
+        rows inserted, and per relation the dependent flags of its rows
+        g * m2, by m2; ``parents`` holds the flags of degree e-1.  A skipped
+        g * m2' * y lies in V * I_(e-2) * y, inside the copied rows, plus
+        the right shifts of the rows before g * m2', which come before it."""
         ech = Echelon()
         k = self.k
+        if e:
+            step = k ** (e - 1)
+            for piv, row in self.slices[e - 1].pivots.items():
+                for base in range(0, k * step, step):
+                    ech.pivots[base + piv] = {base + c: x for c, x in row.items()}
         reduced = 0
-        dependent = {}
+        dependent = []
         for t, (e0, coords) in enumerate(self._relations):
-            if e0 > e:
-                continue
+            if e0 > e:  # the relations are sorted by degree
+                break
             n = k ** (e - e0)
-            # m1 * w * m2 with |m1| = a, |m2| = b sits at column
-            # m1 * k^(e-a) + w * k^b + m2; distinct words w give distinct
-            # columns, so each row is its relation's terms shifted
-            for a in range(e - e0 + 1):
-                b = e - e0 - a
-                kb, step = k ** b, k ** (e - a)
-                shifted = [(col * kb, c) for col, c in coords]
-                # the row with block index i = m1 * k^b + m2 is x * (its left
-                # parent) and (its right parent) * y, the degree-(e-1) rows
-                # at index i mod k^(e-e0-1) of block a-1 (m1 loses its first
-                # letter) and i div k of block a (m2 loses its last letter).
-                # Shifting by a letter keeps the generation order, so a
-                # shift of a row dependent on the rows before it is
-                # dependent too, and inserting it would change nothing.
-                left, right = parents.get((t, a - 1)), parents.get((t, a))
-                kl = n // k
-                flags = dependent[t, a] = bytearray(n)
-                i = 0
-                for m1 in range(k ** a):
-                    for base in range(m1 * step, m1 * step + kb):
-                        if ((left is not None and left[i % kl])
-                                or (right is not None and right[i // k])):
-                            flags[i] = 1
-                        else:
-                            reduced += 1
-                            if not ech.insert({base + col: c for col, c in shifted}):
-                                flags[i] = 1
-                        i += 1
+            # g * m2 sits at column w * k^(e-e0) + m2 for each word w of g;
+            # its parent g * m2' with m2 = m2' * y has index m2 div k
+            shifted = [(col * n, c) for col, c in coords]
+            parent = parents[t] if t < len(parents) else b"\0"  # deg g = e: no parent
+            flags = bytearray(n)
+            for m2 in range(n):
+                if not parent[m2 // k]:
+                    reduced += 1
+                    if ech.insert({m2 + col: c for col, c in shifted}):
+                        continue
+                flags[m2] = 1
+            dependent.append(flags)
         return ech, reduced, dependent
 
     def _vector(self, q: Poly) -> Vector:

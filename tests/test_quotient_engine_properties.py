@@ -1,9 +1,10 @@
 """Property tests of the slice construction on random homogeneous
 presentations, against the construction that reduces every spanning product
-over the alphabet as given: with no degree-1 relation the engine, which
-skips shifts of dependent rows, stores the same rows; with degree-1
-relations it eliminates the letters they kill and must have the same ranks,
-lifted pivot words and remainders."""
+over the alphabet as given: the engine, which eliminates the letters that
+degree-1 relations kill, copies the letter shifts of the rows stored at the
+degree below and inserts only the products g * m2 that are not right shifts
+of dependent rows, must have the same ranks, lifted pivot words and
+remainders, and each slice must hold those letter shifts."""
 
 import pytest
 
