@@ -10,13 +10,13 @@ leading column) form, and answers membership, rank and quotient-basis
 queries from that structure.
 Coefficients stay exact, never float: int where integral, else Fraction.
 
-The degree-1 relations are echelonized first.  Each of their pivot letters
-is replaced by its normal form, which holds only smaller letters (for a
-single-word kill it is zero), in every other relation and in every query,
-and the slices are built over the surviving letters only.  Every word that
-holds an eliminated letter is then a leading word of the full ideal, so the
-standard words, dimensions, quotient bases and remainders are those of the
-full ideal.
+A degree-1 relation of a single word kills that word's letter.  Every word
+that holds a killed letter lies in the ideal, so it vanishes from every
+relation and every query, and the slices are built over the other letters
+only.  Those words are leading words of the full ideal, so the standard
+words, dimensions, quotient bases and remainders are those of the full
+ideal.  Every other relation, of degree 1 or more, spans its rows g * m2
+like any other.
 
 Each slice first stores x * r for every letter x and stored row r of the
 degree below, without reducing them: a shift keeps each pivot its row's
@@ -114,12 +114,12 @@ class SliceStats:
     """Per degree, for the presentation as given: ``rows_generated`` is the
     size of its spanning set, the sum over relations g of
     (e - deg g + 1) * k^(e - deg g) with k the given alphabet's size;
-    ``rows_reduced`` counts the rows actually passed to ``Echelon.insert``
-    (the degree-1 relations at degree 1, and the products g * m2 of the
-    other relations, rewritten over the surviving letters, that are not
-    right shifts of dependent rows), not the letter shifts of the degree
-    below's rows, which are copied; ``rank`` is the rank of the full ideal's
-    slice, k^e minus the quotient dimension."""
+    ``rows_reduced`` counts the rows actually passed to ``Echelon.insert``:
+    the products g * m2 that are not right shifts of dependent rows, for
+    every relation but the kills, read over the letters they leave; the
+    letter shifts of the degree below's rows are copied, not inserted;
+    ``rank`` is the rank of the full ideal's slice, k^e minus the
+    quotient dimension."""
     rows_generated: int
     rows_reduced: int
     rank: int
@@ -132,9 +132,9 @@ class TruncatedIdealBasis:
     symbols; pass a different ``key`` to re-run under another order (results
     of rank, dimension and membership must agree).
 
-    ``letters`` and ``k`` are the surviving letters, over which ``slices``
-    are built; the other letters of the alphabet are eliminated by the
-    degree-1 relations.
+    ``letters`` and ``k`` are the letters that no single-word degree-1
+    relation kills, over which ``slices`` are built; ``stats[e].rows_reduced``
+    counts the rows passed to ``Echelon.insert`` at degree e.
     """
 
     def __init__(self, presentation: Presentation, max_degree: int,
@@ -161,27 +161,18 @@ class TruncatedIdealBasis:
                 raise ValueError(
                     f"degree-{e} slice would exceed {MATRIX_ENTRY_CAP} matrix entries")
             spanning.append(sum(m for m, _ in products))
-        # eliminate the letters that are pivots of the degree-1 relations:
-        # each is replaced by its normal form, which holds smaller letters only
-        linear = Echelon()
-        index = {s: p for p, s in enumerate(letters)}
-        for deg, r in rels:
-            if deg == 1:
-                linear.insert({index[w[0]]: c for w, c in r._terms.items()})
-        survivors = [p for p in range(k) if p not in linear.pivots]
-        self.letters = [letters[p] for p in survivors]
+        # a single-word degree-1 relation kills its letter; the relations up
+        # to max_degree are read over the other letters by degree (ties in
+        # presentation order), less those that vanish there, as kills do
+        killed = {s for deg, r in rels if deg == 1 and len(r._terms) == 1
+                  for (s,) in r._terms}
+        self.letters = [s for s in letters if s not in killed]
         self.k = len(self.letters)
         self._sym_index = {s: i for i, s in enumerate(self.letters)}
-        column = dict(zip(survivors, range(self.k)))
-        # every letter's normal form over the surviving letters
-        self._image = {letters[p]: [(column[c], exact(x))
-                                    for c, x in linear.reduce({p: 1}).items()]
-                       for p in range(k)}
-        # the relations of degrees 2..max_degree over the surviving letters, by
-        # degree (ties in presentation order), less those that vanish there
+        self._alphabet = frozenset(letters)
         self._relations: list[tuple[int, list[tuple[int, Rational]]]] = []
         for deg, r in sorted(rels, key=lambda dr: dr[0]):
-            if 1 < deg <= max_degree:
+            if deg <= max_degree:
                 vec = self._vector(r)
                 if vec:
                     self._relations.append((deg, list(vec.items())))
@@ -193,12 +184,12 @@ class TruncatedIdealBasis:
             self.slices.append(ech)
             self.stats.append(SliceStats(
                 rows_generated=spanning[e],
-                rows_reduced=spanning[1] if e == 1 else reduced,
+                rows_reduced=reduced,
                 rank=k ** e - self.dimension(e)))
 
     def _build_slice(self, e: int, parents: list[bytearray]
                      ) -> tuple[Echelon, int, list[bytearray]]:
-        """Echelon of the eliminated ideal's degree-e slice, the number of
+        """Echelon of the degree-e slice over ``letters``, the number of
         rows inserted, and per relation the dependent flags of its rows
         g * m2, by m2; ``parents`` holds the flags of degree e-1.  A skipped
         g * m2' * y lies in V * I_(e-2) * y, inside the copied rows, plus
@@ -231,47 +222,21 @@ class TruncatedIdealBasis:
         return ech, reduced, dependent
 
     def _vector(self, q: Poly) -> Vector:
-        """q's coordinates over the surviving words, with every eliminated
-        letter replaced by its image."""
-        k, index, image = self.k, self._sym_index, self._image
+        """q's coordinates over the words of ``letters``; a word that holds a
+        killed letter vanishes."""
+        k, index = self.k, self._sym_index
         vec: Vector = {}
-        expanded = []
         for w, c in q._terms.items():
             col = 0
             for s in w:
                 pos = index.get(s)
-                if pos is None:
-                    # a killed letter (empty image) makes the word vanish; a
-                    # symbol outside the alphabet is reported by _expand
-                    if image.get(s, True):
-                        expanded.append((w, c))
+                if pos is None:  # a killed letter
                     break
                 col = col * k + pos
             else:
-                # distinct words over the surviving letters: distinct columns
+                # distinct words over the letters: distinct columns
                 vec[col] = c
-        for w, c in expanded:
-            for col, x in self._expand(w, c):
-                acc = vec.get(col, 0) + x
-                if acc:
-                    vec[col] = acc
-                else:
-                    vec.pop(col, None)
         return vec
-
-    def _expand(self, w: Word, c: Rational) -> list[tuple[int, Rational]]:
-        """c * w over the surviving words, for a word holding an eliminated
-        letter."""
-        k = self.k
-        terms = [(0, c)]
-        for s in w:
-            img = self._image.get(s)
-            if img is None:
-                raise ValueError(f"symbol {s} is not in the presentation's alphabet")
-            terms = [(col * k + p, x * y) for col, x in terms for p, y in img]
-            if not terms:
-                break
-        return terms
 
     def contains(self, q: Poly) -> bool:
         """Whether the homogeneous q lies in the ideal's slice at its degree."""
@@ -282,18 +247,28 @@ class TruncatedIdealBasis:
         deg = q.degree()
         if deg is None:
             return Poly.zero()
-        if deg > self.max_degree:
-            raise ValueError(f"degree {deg} exceeds max_degree {self.max_degree}")
+        self._check_degree(deg)
+        unknown = [s for w in q._terms for s in w if s not in self._alphabet]
+        if unknown:
+            raise ValueError(f"symbol {unknown[0]} is not in the presentation's alphabet")
         rem = self.slices[deg].reduce(self._vector(q))
         return Poly._canonical({_index_word(c, self.letters, deg): exact(x)
                                 for c, x in rem.items()}, q._n)
 
+    def _check_degree(self, e: int) -> None:
+        if e < 0:
+            raise ValueError(f"degree {e} is negative")
+        if e > self.max_degree:
+            raise ValueError(f"degree {e} exceeds max_degree {self.max_degree}")
+
     def rank(self, e: int) -> int:
         """Rank of the full ideal's degree-e slice."""
+        self._check_degree(e)
         return self.stats[e].rank
 
     def dimension(self, e: int) -> int:
         """Quotient dimension at degree e: words minus ideal rank."""
+        self._check_degree(e)
         return self.k ** e - self.slices[e].rank
 
     def dimensions(self) -> list[int]:
@@ -301,6 +276,7 @@ class TruncatedIdealBasis:
 
     def quotient_basis(self, e: int) -> list[Word]:
         """The non-pivot words at degree e, in canonical order."""
+        self._check_degree(e)
         piv = self.slices[e].pivots
         return [_index_word(i, self.letters, e)
                 for i in range(self.k ** e) if i not in piv]

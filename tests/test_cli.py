@@ -367,6 +367,14 @@ class TestMembershipCommand:
                                     "u({1})*u({2})*u({3})", "--max-degree", "2"])
         assert code == 2 and "degree 3 > --max-degree 2" in err
 
+    @pytest.mark.parametrize("poly", ["u({1,3})*z({},1)", "z({},1)*u({1,3})"])
+    def test_stray_symbol_beside_a_killed_letter(self, capsys, path3, poly):
+        # u({1,3}) is a non-face of the path, so its letter is killed
+        code, out, err = run(capsys, ["membership", "--complex", path3, "--poly",
+                                      poly, "--max-degree", "3"])
+        assert code == 2 and out == ""
+        assert err == "error: symbol z({},1) is not in the presentation's alphabet\n"
+
     def test_parse_error(self, capsys, path3):
         code, _, err = run(capsys, ["membership", "--complex", path3, "--poly",
                                     "u({1}", "--max-degree", "2"])

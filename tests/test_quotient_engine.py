@@ -8,12 +8,12 @@ agree with it on every tested presentation.
 
 A second oracle, ``reduce_every_product``, is the slice construction that
 passes every spanning product through ``Echelon.insert`` over the alphabet as
-given.  The engine eliminates the letters that degree-1 relations kill,
-copies the rows of the degree below shifted by a letter, and inserts only the
-products g * m2 that are not right shifts of dependent rows; it must have the
-same ranks, the same pivot words once its own are lifted back to the given
-alphabet, and the same remainders, and each slice must hold the letter shifts
-of the rows stored at the degree below.
+given.  The engine drops the letters that single-word degree-1 relations
+kill, copies the rows of the degree below shifted by a letter, and inserts
+only the products g * m2, of every other relation, that are not right shifts
+of dependent rows; it must have the same ranks, the same pivot words once its
+own are lifted back to the given alphabet, and the same remainders, and each
+slice must hold the letter shifts of the rows stored at the degree below.
 """
 
 import hashlib
@@ -43,6 +43,7 @@ from ncomplex.free_algebra import (
     reversed_symbol_key,
     symbol_key,
     u,
+    z,
 )
 from ncomplex.presentations import (
     Presentation,
@@ -207,7 +208,7 @@ def rows_reduced_bounded(basis):
 
 def assert_shifts_stored(basis):
     """For each e >= 1, x * r is a stored row of slice e, entry for entry and
-    type for type, for every surviving letter x and stored row r of slice
+    type for type, for every letter x of the engine and stored row r of slice
     e-1."""
     def typed(row, base=0):
         return {base + c: (type(x), x) for c, x in row.items()}
@@ -223,10 +224,10 @@ def assert_same_construction(pres, d, key):
     """The engine against ``reduce_every_product`` at every degree: equal
     rows generated, full ranks and dimensions; equal pivot words, the
     engine's lifted to the given alphabet together with every word that
-    holds an eliminated letter; equal remainders of up to 300 words and of
+    holds a killed letter; equal remainders of up to 300 words and of
     one query with many terms.  Each slice holds the letter shifts of the
-    rows stored at the degree below, and with no degree-1 relation nothing
-    is eliminated."""
+    rows stored at the degree below, and the engine's letters are the
+    alphabet less the letters of the single-word degree-1 relations."""
     basis = TruncatedIdealBasis(pres, d, key=key)
     oracle = reduce_every_product(pres, d, key)
     letters = sorted(pres.alphabet, key=key)
@@ -250,8 +251,9 @@ def assert_same_construction(pres, d, key):
         dense = {col: Fraction(col % 5 - 2, col % 3 + 1) for col in sample if col % 5 != 2}
         assert basis.reduce(Poly({words[c]: x for c, x in dense.items()})) == remainder(dense)
     assert_shifts_stored(basis)
-    if all(g.degree() > 1 for g in pres.relations):
-        assert basis.letters == letters
+    killed = {w[0] for g in pres.relations if g.degree() == 1 and len(g.terms) == 1
+              for w in g.terms}
+    assert basis.letters == [s for s in letters if s not in killed]
 
 
 SMALL_CASES = [
@@ -306,10 +308,10 @@ class TestAgainstDenseOracle:
 
 
 ORACLE_CASES = [
-    # degree-1 kill relations on u({1,3}) and u({1,2,3}) eliminate them
+    # degree-1 kill relations on u({1,3}) and u({1,2,3}) drop those letters
     (qF_presentation(closure([{1, 2}, {2, 3}], 3)), 3),
     # z-form Q_2 mixes degree-2 relations with degree-1 relations of four
-    # terms, which eliminate letters into sums of the others
+    # terms, whose rows the slices span like those of any other relation
     (qn_presentation(2, "z"), 4),
     # non-unit and non-integral leading coefficients: Fraction pivots
     (mixed_presentation(), 4),
@@ -450,15 +452,16 @@ class TestEngineProperties:
         assert [(s.rows_generated, s.rank) for s in basis.stats] == expected
 
     @pytest.mark.parametrize("pres,d,expected", [
-        (qF_presentation(closure([[1, 2], [2, 3], [3, 4]], 4)), 3, [0, 8, 48, 91]),
+        (qF_presentation(closure([[1, 2], [2, 3], [3, 4]], 4)), 3, [0, 0, 48, 91]),
         (qn_presentation(3, "u"), 4, [0, 0, 12, 35, 238]),
         (graph_presentation(cycle_graph(4)), 4, [0, 0, 32, 128, 960]),
     ], ids=["qF-P4", "Q3-u", "graph-C4"])
     def test_rows_reduced(self, pres, d, expected, monkeypatch):
-        # rows passed to Echelon.insert: qF-P4's 8 kill relations at degree
-        # 1, then the products g * m2 over the 7 surviving letters that are
-        # not right shifts of rows found dependent at the degree below; the
-        # letter shifts of the rows stored there are copied, not inserted
+        # rows passed to Echelon.insert: the products g * m2, over the 7
+        # letters that qF-P4's 8 kill relations leave, that are not right
+        # shifts of rows found dependent at the degree below; the kills
+        # themselves are not inserted, and the letter shifts of the rows
+        # stored at the degree below are copied
         calls = []
         insert = Echelon.insert
 
@@ -506,7 +509,7 @@ class TestEngineProperties:
 
     def test_relations_above_the_bound_are_not_read(self, monkeypatch):
         # at max_degree 1 the z form's degree-2 relations span nothing, so
-        # none of them is rewritten over the surviving letters
+        # none of them is read over the engine's letters
         pres = qn_presentation(3, "z")
         full = TruncatedIdealBasis(pres, 2)
         degrees = []
@@ -589,6 +592,26 @@ class TestErrors:
         basis = TruncatedIdealBasis(graph_presentation(edgeless_graph(2)), 2)
         with pytest.raises(ValueError, match="not in the presentation's alphabet"):
             basis.contains(up(1, 2, n=2))
+
+    @pytest.mark.parametrize("order", ["killed-first", "stray-first"])
+    def test_stray_symbol_rejected_beside_a_killed_letter(self, order):
+        # u({1,3}) is killed on the path P3; the stray z({},1) is refused on
+        # either side of it, with one message
+        basis = TruncatedIdealBasis(qF_presentation(closure([{1, 2}, {2, 3}], 3)), 3)
+        killed, stray = up(1, 3), Poly.from_symbol(z(ns(), 1))
+        q = killed * stray if order == "killed-first" else stray * killed
+        with pytest.raises(ValueError, match=r"^symbol z\(\{\},1\) is not in the "
+                                             r"presentation's alphabet$"):
+            basis.reduce(q)
+
+    @pytest.mark.parametrize("e,message", [(-1, "degree -1 is negative"),
+                                           (3, "degree 3 exceeds max_degree 2")],
+                             ids=["below", "above"])
+    @pytest.mark.parametrize("method", ["dimension", "rank", "quotient_basis"])
+    def test_degree_accessors_refuse_degrees_out_of_range(self, method, e, message):
+        basis = TruncatedIdealBasis(qF_presentation(closure([{1, 2}, {2, 3}], 3)), 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(basis, method)(e)
 
     def test_monomial_cap(self):
         pres = qn_presentation(4, "u")  # 15 letters

@@ -1,10 +1,12 @@
 """Property tests of the slice construction on random homogeneous
 presentations, against the construction that reduces every spanning product
-over the alphabet as given: the engine, which eliminates the letters that
-degree-1 relations kill, copies the letter shifts of the rows stored at the
-degree below and inserts only the products g * m2 that are not right shifts
-of dependent rows, must have the same ranks, lifted pivot words and
-remainders, and each slice must hold those letter shifts."""
+over the alphabet as given: the engine, which drops the letters that
+single-word degree-1 relations kill, copies the letter shifts of the rows
+stored at the degree below and inserts only the products g * m2, of every
+other relation, degree 1 included, that are not right shifts of dependent
+rows, must have the same ranks, lifted pivot words and remainders, its
+letters must be the alphabet less the killed ones, and each slice must hold
+those letter shifts."""
 
 import pytest
 
