@@ -228,6 +228,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_degree", 0) < 0:
+            raise ValueError("--max-degree must be >= 0")
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

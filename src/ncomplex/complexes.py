@@ -91,17 +91,17 @@ class NodeSet:
     def minus(self, v: int) -> "NodeSet":
         return NodeSet(self.n, self.bits & ~_mask_of((v,), self.n))
 
+    def sort_key(self) -> int:
+        """The canonical order as one int: size, then elements.  Of two sets of
+        one size, A comes first exactly when the smallest vertex in only one of
+        them lies in A: when A's mask read with vertex 1 atop 16 bits is larger."""
+        return self.size << 16 | (0xFFFF - int(f"{self.bits:016b}"[::-1], 2))
+
     def subsets(self) -> list["NodeSet"]:
-        """All subsets of this set (including empty and itself), sorted."""
-        out = []
-        sub = self.bits
-        while True:
-            out.append(NodeSet(self.n, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & self.bits
-        out.sort(key=lambda s: (s.size, s.elements))
-        return out
+        """All subsets of this set (including empty and itself), in canonical order."""
+        bits = [1 << (v - 1) for v in self.elements]
+        return [NodeSet(self.n, sum(c))
+                for k in range(len(bits) + 1) for c in combinations(bits, k)]
 
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in self.elements) + "}"
@@ -127,17 +127,20 @@ class Complex:
         for v in range(self.n):
             if (1 << v) not in masks:
                 raise ValueError(f"missing singleton face {{{v + 1}}}")
+        # with every singleton present, the family is downward closed exactly
+        # when each face's subsets with one node fewer are faces
         for m in masks:
-            sub = (m - 1) & m
-            while sub:
-                if sub not in masks:
+            rest = m
+            while rest:
+                sub = m ^ (rest & -rest)
+                rest &= rest - 1
+                if sub and sub not in masks:
                     raise ValueError(
                         f"not downward closed: {NodeSet(self.n, sub)} missing "
                         f"under {NodeSet(self.n, m)}")
-                sub = (sub - 1) & m
 
     def sorted_faces(self) -> list[NodeSet]:
-        return sorted(self.faces, key=lambda s: (s.size, s.elements))
+        return sorted(self.faces, key=NodeSet.sort_key)
 
     def __str__(self) -> str:
         return ",".join(str(f) for f in self.sorted_faces())
@@ -247,25 +250,16 @@ def edgeless_graph(n: int) -> Graph:
 
 
 def enumerate_complexes(n: int) -> list[Complex]:
-    """Every complex on n nodes, for exhaustive small-n sweeps (n <= 4)."""
-    if n > 4:
-        raise ValueError("exhaustive complex enumeration is capped at n=4")
-    nonsingletons = [m for m in range(1, 1 << n) if bin(m).count("1") >= 2]
-    out = []
-    for pick in range(1 << len(nonsingletons)):
-        chosen = {m for k, m in enumerate(nonsingletons) if pick >> k & 1}
-        closed = True
-        for m in chosen:
-            sub = (m - 1) & m
-            while sub and closed:
-                if bin(sub).count("1") >= 2 and sub not in chosen:
-                    closed = False
-                sub = (sub - 1) & m
-            if not closed:
-                break
-        if closed:
-            faces = {NodeSet(n, 1 << v) for v in range(n)}
-            faces.update(NodeSet(n, m) for m in chosen)
-            out.append(Complex(n, frozenset(faces)))
-    out.sort(key=lambda c: (len(c.faces), sorted((f.size, f.elements) for f in c.faces)))
+    """Every complex on n nodes, for exhaustive small-n sweeps (n <= 5): from the
+    singletons, each set of two or more nodes, in canonical order (so after its
+    subsets), extends every family that holds its subsets with one node fewer."""
+    if n > 5:
+        raise ValueError("exhaustive complex enumeration is capped at n=5")
+    families = [frozenset(1 << v for v in range(n))]
+    for s in NodeSet.full(n).subsets():
+        if s.size >= 2:
+            below = [s.minus(v).bits for v in s]
+            families += [f | {s.bits} for f in families if all(b in f for b in below)]
+    out = [Complex(n, frozenset(NodeSet(n, m) for m in f)) for f in families]
+    out.sort(key=lambda c: (len(c.faces), sorted(map(NodeSet.sort_key, c.faces))))
     return out

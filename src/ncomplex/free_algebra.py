@@ -69,11 +69,7 @@ class Symbol:
                 raise ValueError("u({}) is the unit, not a generator")
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        # of two sets of one size, A comes first lexicographically exactly
-        # when the smallest vertex in only one of them lies in A, that is,
-        # when A's mask read with vertex 1 as the top of 16 bits is larger
-        rev = int(f"{self.a.bits:016b}"[::-1], 2)
-        key = ((self.kind == "u") << 5 | self.a.size) << 16 | (0xFFFF - rev)
+        key = (self.kind == "u") << 21 | self.a.sort_key()
         object.__setattr__(self, "_key", (key << 5 | (self.i or 0)) << 5 | self.a.n)
 
     def __eq__(self, other: object) -> bool:

@@ -464,6 +464,27 @@ class TestVerifyCommand:
         assert o1 == o2
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--complex", "MISSING", "--max-degree", "-1"],
+    ["membership", "--complex", "MISSING", "--poly", "0", "--max-degree", "-1"],
+    ["membership", "--complex", "PATH3", "--poly", "u({1})*u({2})", "--max-degree", "-1"],
+    ["membership", "--complex", "PATH3", "--poly", "u({1}", "--max-degree", "-1"],
+    ["verify", "--n", "2", "--max-degree", "-1"],
+    ["verify", "--complex", "MISSING", "--max-degree", "-1"],
+    ["verify", "--complex", "PATH3", "--max-degree", "-5",
+     "--checks", "proposition,theorem,corollary"],
+    ["verify", "--complex", "PATH3", "--max-degree", "-5",
+     "--checks", "presentation_equivalence"],
+], ids=["hilbert", "membership-zero", "membership-product", "membership-unparsable",
+        "verify-n", "verify-missing", "verify-graph-checks", "verify-equivalence"])
+def test_negative_max_degree_refused_before_any_input(capsys, path3, tmp_path, argv):
+    """One refusal for every subcommand that takes the flag, before the complex
+    file, the polynomial or any presentation is read."""
+    files = {"MISSING": str(tmp_path / "missing.json"), "PATH3": path3}
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", "error: --max-degree must be >= 0\n")
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError

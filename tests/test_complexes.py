@@ -1,6 +1,8 @@
 """Tests for node sets, complexes and graphs."""
 
 import random
+from math import comb
+from time import perf_counter
 
 import pytest
 
@@ -23,6 +25,35 @@ from ncomplex.complexes import (
 
 def faces_as_sets(c):
     return {frozenset(f.elements) for f in c.faces}
+
+
+def all_proper_submasks(m):
+    """Every nonempty proper submask of m: the all-subsets closure walk, the
+    oracle for Complex's one-node-fewer check."""
+    sub = (m - 1) & m
+    while sub:
+        yield sub
+        sub = (sub - 1) & m
+
+
+def brute_force_complexes(n):
+    """Every complex on n nodes by testing all 2^(2^n-n-1) families of sets
+    of two or more nodes for closure, sorted as enumerate_complexes sorts."""
+    nonsingletons = [m for m in range(1, 1 << n) if bin(m).count("1") >= 2]
+    out = []
+    for pick in range(1 << len(nonsingletons)):
+        chosen = {m for k, m in enumerate(nonsingletons) if pick >> k & 1}
+        if all(bin(sub).count("1") < 2 or sub in chosen
+               for m in chosen for sub in all_proper_submasks(m)):
+            faces = {NodeSet(n, 1 << v) for v in range(n)}
+            faces.update(NodeSet(n, m) for m in chosen)
+            out.append(Complex(n, frozenset(faces)))
+    out.sort(key=lambda c: (len(c.faces), sorted((f.size, f.elements) for f in c.faces)))
+    return out
+
+
+#: the Dedekind numbers M(0..5): antichains of subsets of a k-set
+DEDEKIND = [2, 3, 6, 20, 168, 7581]
 
 
 class TestNodeSet:
@@ -51,6 +82,20 @@ class TestNodeSet:
         assert len(subs) == 8
         assert subs[0].is_empty
         assert subs == sorted(subs, key=lambda s: (s.size, s.elements))
+        sets = [NodeSet(n, m) for n in range(1, 6) for m in range(1 << n)]
+        for a in sets + [NodeSet.full(16)]:
+            subs = a.subsets()
+            assert {s.bits for s in subs} == {m for m in range(a.bits + 1)
+                                              if m & ~a.bits == 0}, a
+            assert len(subs) == 2 ** a.size and subs[0].is_empty, a
+            assert subs == sorted(subs, key=lambda s: (s.size, s.elements)), a
+
+    def test_sort_key_is_size_then_elements(self):
+        for n in (1, 4, 16):
+            sets = [NodeSet(n, m) for m in random.Random(n).sample(range(1 << n),
+                                                                  min(1 << n, 500))]
+            assert (sorted(sets, key=NodeSet.sort_key)
+                    == sorted(sets, key=lambda s: (s.size, s.elements)))
 
     def test_universe_bounds(self):
         with pytest.raises(ValueError):
@@ -91,6 +136,12 @@ class TestClosure:
                 for s in f.subsets():
                     if not s.is_empty:
                         assert is_face(c, s)
+
+    def test_sixteen_node_simplex_in_under_two_seconds(self):
+        start = perf_counter()
+        c = closure([range(1, 17)], 16)
+        assert perf_counter() - start < 2.0
+        assert len(c.faces) == 2 ** 16 - 1
 
     def test_idempotent(self):
         c = closure([{1, 2}, {3, 4}, {2, 3, 4}], 5)
@@ -146,6 +197,29 @@ class TestComplexValidation:
         with pytest.raises(ValueError, match="downward closed"):
             Complex(3, frozenset(faces))
 
+    def test_closure_rule_matches_all_subsets(self):
+        """Random families of nonempty masks holding every singleton: the
+        one-node-fewer check rejects exactly those the all-subsets walk does."""
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            facets = [rng.sample(range(1, n + 1), rng.randint(1, n))
+                      for _ in range(rng.randint(0, 3))]
+            masks = {f.bits for f in closure(facets, n).faces}
+            for _ in range(rng.randint(0, 2)):
+                masks ^= {rng.randrange(1, 1 << n)}
+            masks |= {1 << v for v in range(n)}
+            gap = any(sub not in masks for m in masks for sub in all_proper_submasks(m))
+            faces = frozenset(NodeSet(n, m) for m in masks)
+            if gap:
+                with pytest.raises(ValueError, match="not downward closed"):
+                    Complex(n, faces)
+            else:
+                Complex(n, faces)
+            verdicts.add(gap)
+        assert verdicts == {False, True}
+
     def test_rejects_empty_face(self):
         with pytest.raises(ValueError, match="empty set"):
             Complex(1, frozenset({NodeSet.of((), 1), NodeSet.of((1,), 1)}))
@@ -189,6 +263,22 @@ class TestEnumerateComplexes:
         assert closure([{1, 2, 3}], 3) in cs
         assert closure([{1, 2}, {2, 3}], 3) in cs
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_brute_force(self, n):
+        assert enumerate_complexes(n) == brute_force_complexes(n)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 9), (4, 114), (5, 6894)])
+    def test_golden_counts(self, n, count):
+        # M(k)-1 of the down-sets of subsets of a k-set hold the empty set (all
+        # but the empty one); inclusion-exclusion over the nodes left out
+        # counts those that hold every singleton
+        assert count == sum((-1) ** (n - k) * comb(n, k) * (DEDEKIND[k] - 1)
+                            for k in range(n + 1))
+        cs = enumerate_complexes(n)
+        assert len(cs) == len(set(cs)) == count
+
     def test_capped(self):
-        with pytest.raises(ValueError):
-            enumerate_complexes(5)
+        start = perf_counter()
+        with pytest.raises(ValueError, match="capped at n=5"):
+            enumerate_complexes(6)
+        assert perf_counter() - start < 1.0
