@@ -28,7 +28,8 @@ def _mask_of(members: Iterable[int], n: int) -> int:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """A subset of {1..n}, held as a bitmask.  ``a <= b`` is subset order."""
+    """A subset of {1..n}, held as a bitmask.  ``a | b`` is the union of two
+    sets on one universe; ``plus`` and ``minus`` add and remove one node."""
 
     n: int
     bits: int
@@ -72,18 +73,6 @@ class NodeSet:
     def __or__(self, other: "NodeSet") -> "NodeSet":
         self._check_universe(other)
         return NodeSet(self.n, self.bits | other.bits)
-
-    def __and__(self, other: "NodeSet") -> "NodeSet":
-        self._check_universe(other)
-        return NodeSet(self.n, self.bits & other.bits)
-
-    def __sub__(self, other: "NodeSet") -> "NodeSet":
-        self._check_universe(other)
-        return NodeSet(self.n, self.bits & ~other.bits)
-
-    def __le__(self, other: "NodeSet") -> bool:
-        self._check_universe(other)
-        return self.bits & ~other.bits == 0
 
     def plus(self, v: int) -> "NodeSet":
         return NodeSet(self.n, self.bits | _mask_of((v,), self.n))

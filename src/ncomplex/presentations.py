@@ -220,18 +220,10 @@ def theorem_relations(g: Graph) -> list[Poly]:
     return [r for r in out if r]
 
 
-def _ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
 def _instances(n: int) -> list[tuple[NodeSet, int, int]]:
     """All (A, i, j) with i != j and both outside A, in a fixed order."""
-    out = []
-    for i, j in _ordered_pairs(n):
-        rest = NodeSet.full(n).minus(i).minus(j)
-        for a in rest.subsets():
-            out.append((a, i, j))
-    return out
+    return [(a, i, j) for i, j in permutations(range(1, n + 1), 2)
+            for a in NodeSet.full(n).minus(i).minus(j).subsets()]
 
 
 def all_u_symbols(n: int) -> list[Symbol]:
@@ -247,39 +239,40 @@ def all_z_symbols(n: int) -> list[Symbol]:
     return out
 
 
+def _u_form(n: int) -> tuple[tuple[Symbol, ...], tuple[Poly, ...]]:
+    """The base algebra's u form: the sorted u alphabet and the rel_4 family
+    in _instances order, priced before any instance is built.  Q_n, Q_F and
+    the corollary check all read the family from here."""
+    _check_rel_4_words(n)
+    alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
+    return alphabet, tuple(rel_4(a, i, j) for a, i, j in _instances(n))
+
+
 def qn_presentation(n: int, form: str) -> Presentation:
     """The base algebra on n nodes, in z form (additive + multiplicative
     relations) or u form (the rel_4 family).  Both forms are refused where
     the rel_4 family is over the cap, so the base algebra has one size limit."""
     if form not in ("z", "u"):
         raise ValueError(f"form must be 'z' or 'u', got {form!r}")
+    if form == "u":
+        return Presentation(f"Qn(n={n},form=u)", *_u_form(n))
     _check_rel_4_words(n)
-    if form == "z":
-        alphabet = tuple(sorted(all_z_symbols(n), key=symbol_key))
-        relations: list[Poly] = []
-        for a, i, j in _instances(n):
-            relations.append(rel_additive(a, i, j))
-        for a, i, j in _instances(n):
-            relations.append(rel_multiplicative(a, i, j))
-        return Presentation(f"Qn(n={n},form=z)", alphabet, tuple(relations))
-    alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
-    relations = [rel_4(a, i, j) for a, i, j in _instances(n)]
-    return Presentation(f"Qn(n={n},form=u)", alphabet, tuple(relations))
+    alphabet = tuple(sorted(all_z_symbols(n), key=symbol_key))
+    relations: list[Poly] = []
+    for a, i, j in _instances(n):
+        relations.append(rel_additive(a, i, j))
+    for a, i, j in _instances(n):
+        relations.append(rel_multiplicative(a, i, j))
+    return Presentation(f"Qn(n={n},form=z)", alphabet, tuple(relations))
 
 
 def qF_presentation(c: Complex) -> Presentation:
-    """Quotient of the base algebra by the ideal killing u(A) for every
-    non-face A.  The alphabet keeps all u symbols; kill relations are
-    degree-1 generators of the ideal."""
-    n = c.n
-    _check_rel_4_words(n)
-    alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
-    relations = [rel_4(a, i, j) for a, i, j in _instances(n)]
-    for s in NodeSet.full(n).subsets():
-        if not s.is_empty and s not in c.faces:
-            relations.append(Poly.from_symbol(u(s)))
-    label = f"QF(n={n},faces={c})"
-    return Presentation(label, alphabet, tuple(relations))
+    """Q_F: the base algebra's u form plus one degree-1 kill u(A) for each
+    letter whose set A is not a face, in alphabet order.  The alphabet keeps
+    every u letter; the kills generate the ideal of the non-faces."""
+    alphabet, family = _u_form(c.n)
+    kills = tuple(Poly.from_symbol(s) for s in alphabet if s.a not in c.faces)
+    return Presentation(f"QF(n={c.n},faces={c})", alphabet, family + kills)
 
 
 def graph_presentation(g: Graph) -> Presentation:

@@ -17,10 +17,13 @@ from ncomplex.complexes import (
     NodeSet,
     closure,
     complete_graph,
+    cycle_graph,
     edgeless_graph,
+    enumerate_complexes,
     path_graph,
+    star_graph,
 )
-from ncomplex.free_algebra import Poly, commutator, substitute, u, z
+from ncomplex.free_algebra import Poly, commutator, poly_text, substitute, symbol_key, u, z
 from ncomplex.presentations import (
     Presentation,
     _check_rel_4_words,
@@ -44,6 +47,7 @@ from ncomplex.presentations import (
     u_in_z,
     z_in_u,
 )
+from ncomplex.verifier import check_corollary
 
 
 def ns(*elems, n=3):
@@ -497,3 +501,68 @@ class TestPresentations:
             Presentation("bad", (a,), (Poly.from_symbol(b),))
         with pytest.raises(ValueError, match="zero polynomial"):
             Presentation("bad", (a,), (Poly.zero(),))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the construction as it stood before Q_n's u form had one builder.
+# qF_presentation's output (labels, alphabets, relations and their order)
+# feeds frozen row counts and digests, so it must not move.
+# ---------------------------------------------------------------------------
+
+def _oracle_instances(n):
+    out = []
+    for i, j in [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]:
+        rest = NodeSet.full(n).minus(i).minus(j)
+        for a in rest.subsets():
+            out.append((a, i, j))
+    return out
+
+
+def _oracle_qn_u(n):
+    _check_rel_4_words(n)
+    alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
+    relations = [rel_4(a, i, j) for a, i, j in _oracle_instances(n)]
+    return Presentation(f"Qn(n={n},form=u)", alphabet, tuple(relations))
+
+
+def _oracle_qF(c):
+    n = c.n
+    _check_rel_4_words(n)
+    alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
+    relations = [rel_4(a, i, j) for a, i, j in _oracle_instances(n)]
+    for s in NodeSet.full(n).subsets():
+        if not s.is_empty and s not in c.faces:
+            relations.append(Poly.from_symbol(u(s)))
+    label = f"QF(n={n},faces={c})"
+    return Presentation(label, alphabet, tuple(relations))
+
+
+def _shape(p):
+    return p.label, p.alphabet, p.relations, tuple(map(poly_text, p.relations))
+
+
+class TestConstructionOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_qF_on_every_small_complex(self, n):
+        complexes = enumerate_complexes(n)
+        assert len(complexes) == {1: 1, 2: 2, 3: 9, 4: 114}[n]
+        for c in complexes:
+            assert _shape(qF_presentation(c)) == _shape(_oracle_qF(c)), c
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_qn_u(self, n):
+        assert _shape(qn_presentation(n, "u")) == _shape(_oracle_qn_u(n))
+
+    @pytest.mark.parametrize("c", [
+        path_graph(5).as_complex(), cycle_graph(5).as_complex(),
+        star_graph(5).as_complex(), complete_graph(5).as_complex(),
+        closure([{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}], 4)],
+        ids=["P5", "C5", "star5", "K5", "tetrahedron-boundary"])
+    def test_qF_on_named_complexes(self, c):
+        assert _shape(qF_presentation(c)) == _shape(_oracle_qF(c))
+
+    @pytest.mark.parametrize("n,instances", [(1, 0), (2, 2), (3, 12), (4, 48), (5, 160)])
+    def test_corollary_witness(self, n, instances):
+        r = check_corollary(n)
+        assert r.passed
+        assert r.witness == {"n": n, "instances": instances, "failures": []}
