@@ -28,7 +28,7 @@ from .presentations import (
     theorem_relations,
 )
 from .quotient_engine import TruncatedIdealBasis, graded_dimension
-from .verifier import CHECK_NAMES, CHECKS, VerifyConfig, run_all
+from .verifier import CHECK_NAMES, VerifyConfig, run_all
 
 #: refuse relation instances of more words than this: families 4 and 5 have
 #: about 2^(2|A|+2) and family 9 about 2^(|A'|+|B'|+1)
@@ -150,24 +150,13 @@ def _cmd_membership(args) -> int:
 def _cmd_verify(args) -> int:
     if (args.complex is None) == (args.n is None):
         raise ValueError("verify needs exactly one of --complex or --n")
-    if args.complex is not None:
-        c = parse_complex_file(args.complex)
-        complexes: tuple[Complex, ...] = (c,)
-        ns = (c.n,)
-        # graph checks only apply to 1-dimensional complexes; explicitly
-        # requesting them on a higher complex is still an error
-        skipped = () if dimension(c) <= 1 else ("graph",)
-    else:
-        complexes = ()
-        ns = (args.n,)
-        skipped = ("complex", "graph")
-    if args.checks:
-        checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
-    else:
-        checks = tuple(name for name in CHECK_NAMES if CHECKS[name][0] not in skipped)
-    config = VerifyConfig(checks=checks, ns=ns, complexes=complexes,
-                          max_degree=args.max_degree)
-    report = run_all(config)
+    complexes = () if args.complex is None else (parse_complex_file(args.complex),)
+    ns = (complexes[0].n,) if complexes else (args.n,)
+    # no --checks (or an empty one) leaves the choice to run_all
+    checks = (tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
+              if args.checks else None)
+    report = run_all(VerifyConfig(checks=checks, ns=ns, complexes=complexes,
+                                  max_degree=args.max_degree))
     if args.format == "json":
         print(json.dumps(report.to_json_obj(), separators=(",", ":")))
     else:

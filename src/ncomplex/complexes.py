@@ -46,7 +46,8 @@ class NodeSet:
 
     @classmethod
     def full(cls, n: int) -> "NodeSet":
-        return cls(n, (1 << n) - 1)
+        # a negative n is left to __post_init__'s bound, not to the shift
+        return cls(n, (1 << max(n, 0)) - 1)
 
     @property
     def size(self) -> int:

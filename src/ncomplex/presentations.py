@@ -29,7 +29,8 @@ from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, commutator, symbol_k
 
 @dataclass(frozen=True)
 class Presentation:
-    """An alphabet of generators plus homogeneous defining relations."""
+    """Distinct generators plus relations over them, each nonzero and homogeneous
+    of degree >= 1; construction refuses any other, so readers need not check."""
 
     label: str
     alphabet: tuple[Symbol, ...]
@@ -40,10 +41,13 @@ class Presentation:
         if len(allowed) != len(self.alphabet):
             raise ValueError("duplicate generator in alphabet")
         for r in self.relations:
-            if not r:
+            degrees = r.degrees()
+            if not degrees:
                 raise ValueError("zero polynomial is not a relation")
-            if not r.is_homogeneous():
+            if len(degrees) > 1:
                 raise ValueError(f"inhomogeneous relation: {r}")
+            if degrees == [0]:
+                raise ValueError(f"constant relation: {r}")
             stray = r.symbols() - allowed
             if stray:
                 s = sorted(stray, key=symbol_key)[0]
@@ -73,10 +77,15 @@ def rel_multiplicative(a: NodeSet, i: int, j: int) -> Poly:
             - Poly.from_symbol(z(a.plus(j), i)) * Poly.from_symbol(z(a, j)))
 
 
+def _letters(a: NodeSet, *top: int) -> list[Symbol]:
+    """u(D + top) for every D inside A, in the canonical order of D."""
+    t = NodeSet.of(top, a.n)
+    return [u(d | t) for d in a.subsets()]
+
+
 def _subset_sum(a: NodeSet, *top: int) -> Poly:
     """The sum of u(D + top) over all D inside A."""
-    t = NodeSet.of(top, a.n)
-    return Poly._canonical({(u(d | t),): 1 for d in a.subsets()}, a.n)
+    return Poly._canonical({(x,): 1 for x in _letters(a, *top)}, a.n)
 
 
 def z_in_u(a: NodeSet, i: int) -> Poly:
@@ -113,12 +122,8 @@ def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     """The u-form quadratic relation of the base algebra, one per (A,i,j):
     (S_j + S_ij) S_i - (S_i + S_ij) S_j, where S_T sums u(D+T) over D inside A."""
     _require_witnesses(a, i, j)
-    n = a.n
-    subsets = a.subsets()
-    si, sj, sij = ([u(d | NodeSet.of(top, n)) for d in subsets]
-                   for top in ((i,), (j,), (i, j)))
     # swapping i and j negates the quadratic
-    return _quadratic(sj, si, sij, n)
+    return _quadratic(_letters(a, j), _letters(a, i), _letters(a, i, j), a.n)
 
 
 def _check_rel_4_words(n: int) -> None:

@@ -145,12 +145,9 @@ class TruncatedIdealBasis:
         letters = sorted(presentation.alphabet, key=key)
         k = len(letters)
         _check_word_count(k, max_degree)
-        rels = []
-        for r in presentation.relations:
-            deg = r.degree()
-            if deg is None or deg < 1:
-                raise ValueError("relations must be nonzero of degree >= 1")
-            rels.append((deg, r))
+        # a Presentation's relations are nonzero and homogeneous, so any one
+        # word's length is the degree
+        rels = [(len(next(iter(r._terms))), r) for r in presentation.relations]
         # per degree, the spanning products m1 * g * m2 over the given
         # alphabet; an over-large request is refused before any slice is built
         spanning = []

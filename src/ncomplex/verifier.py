@@ -350,7 +350,11 @@ _NEEDS = {"n": "n (pass --n or a complex)", "complex": "a complex",
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    checks: tuple[str, ...] = CHECK_NAMES
+    """``checks=None`` runs every check whose subject the config has: the
+    n-checks on ``ns``, proposition on ``complexes``, the graph checks on
+    those of dimension <= 1.  Naming a check without its subject is an error."""
+
+    checks: tuple[str, ...] | None = None
     ns: tuple[int, ...] = ()
     complexes: tuple[Complex, ...] = ()
     max_degree: int = 2
@@ -362,13 +366,15 @@ def default_config() -> VerifyConfig:
 
 
 def run_all(config: VerifyConfig) -> VerificationReport:
-    if not config.checks:
-        raise ValueError(f"no checks selected; known: {', '.join(CHECK_NAMES)}")
-    report = VerificationReport()
     subjects = {"n": config.ns, "complex": config.complexes,
                 "graph": [Graph.from_complex(c) for c in config.complexes
                           if dimension(c) <= 1]}
-    for name in config.checks:
+    checks = (config.checks if config.checks is not None
+              else [name for name in CHECKS if subjects[CHECKS[name][0]]])
+    if not checks:
+        raise ValueError(f"no checks selected; known: {', '.join(CHECK_NAMES)}")
+    report = VerificationReport()
+    for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
         subject, run = CHECKS[name]

@@ -448,6 +448,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--n", "2", "--checks", "nope"])
         assert code == 2 and "unknown check" in err
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_n_below_one(self, capsys, n):
+        code, out, err = run(capsys, ["verify", "--n", n])
+        assert code == 2 and out == ""
+        assert err == f"error: n={n} outside 1..16\n"
+
     def test_empty_check_list(self, capsys):
         code, out, err = run(capsys, ["verify", "--n", "2", "--checks", ","])
         assert code == 2 and out == ""

@@ -58,8 +58,14 @@ COMMANDS = (
        "relations --family 9 --n 4 --A 3 --B 4 --i 1 --j 2",
        "relations --family 10 --n 4 --A 3,4 --i 1 --j 2",
        "relations --family theorem --complex @c4",
+       "verify --n 1",
        "verify --n 3",
-       "verify --n 4 --format json"]
+       "verify --n 4 --format json",
+       "verify --n 2 --checks ','",
+       "verify --n 2 --checks ''",
+       "verify --complex @edgeless3",
+       "verify --complex @simplex2",
+       "verify --complex @simplex2 --checks theorem"]
     + [f"verify --complex @{c}{fmt}" for c in VERIFIED
        for fmt in ("", " --format json")]
 )

@@ -101,6 +101,9 @@ class TestNodeSet:
             NodeSet.of((1,), 17)
         with pytest.raises(ValueError, match="vertex 4 exceeds n=3"):
             NodeSet.of((4,), 3)
+        for n in (-1, 0, 17):
+            with pytest.raises(ValueError, match=f"n={n} outside 1..16"):
+                NodeSet.full(n)
 
     def test_mixed_universe_rejected(self):
         with pytest.raises(ValueError, match="mixed universes"):

@@ -501,6 +501,8 @@ class TestPresentations:
             Presentation("bad", (a,), (Poly.from_symbol(b),))
         with pytest.raises(ValueError, match="zero polynomial"):
             Presentation("bad", (a,), (Poly.zero(),))
+        with pytest.raises(ValueError, match="constant relation: 2"):
+            Presentation("bad", (a,), (Poly.one() * 2,))
 
 
 # ---------------------------------------------------------------------------

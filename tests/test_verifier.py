@@ -251,6 +251,23 @@ class TestRunAll:
             run_all(VerifyConfig(checks=("theorem",),
                                  complexes=(closure([{1, 2, 3}], 3),)))
 
+    def test_unnamed_checks_are_those_the_subjects_allow(self, monkeypatch):
+        # stub every check: only which ones run_all picks is under test
+        for name in CHECK_NAMES:
+            monkeypatch.setattr(f"ncomplex.verifier.check_{name}",
+                                lambda *args, name=name: CheckResult(name, {}, True, {}))
+        n_checks = ["basis_lemma", "eq3_welldefined", "corollary", "commutative_case"]
+        report = run_all(VerifyConfig(ns=(2,)))
+        assert [e.check for e in report.entries] == n_checks
+        simplex = closure([[1, 2, 3]], 3)
+        report = run_all(VerifyConfig(ns=(3,), complexes=(simplex,)))
+        assert [e.check for e in report.entries] == n_checks + ["proposition"]
+        with pytest.raises(ValueError,
+                           match="check 'theorem' needs a complex of dimension <= 1"):
+            run_all(VerifyConfig(checks=("theorem",), ns=(3,), complexes=(simplex,)))
+        with pytest.raises(ValueError, match="no checks selected"):
+            run_all(VerifyConfig(checks=(), ns=(3,), complexes=(simplex,)))
+
 
 class TestReport:
     def test_json_round_trip(self):
