@@ -46,8 +46,8 @@ class NodeSet:
 
     @classmethod
     def full(cls, n: int) -> "NodeSet":
-        # a negative n is left to __post_init__'s bound, not to the shift
-        return cls(n, (1 << max(n, 0)) - 1)
+        # an n out of range is left to __post_init__'s bound, not to the shift
+        return cls(n, (1 << min(max(n, 0), UNIVERSE_CAP)) - 1)
 
     @property
     def size(self) -> int:

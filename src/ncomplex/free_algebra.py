@@ -227,9 +227,6 @@ class Poly:
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self._terms})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int | None:
         """Common degree of a homogeneous polynomial; None for zero."""
         degs = self.degrees()

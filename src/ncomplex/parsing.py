@@ -11,7 +11,7 @@ Grammar (whitespace-insensitive)::
 
 ``[p,q]`` is the commutator pq - qp.  The universe size n is supplied by the
 caller (the CLI takes it from the complex file), and so is an optional bound
-on the degree of every product (the CLI passes ``--max-degree``).  The
+on the degree of every product and term (the CLI passes ``--max-degree``).  The
 canonical text form emitted by poly_text parses back to an equal polynomial.
 """
 
@@ -59,9 +59,9 @@ class _Parser:
             f"(near {self.text[self.pos:self.pos + 12]!r})")
 
     def check_product(self, p: Poly, q: Poly) -> None:
-        """Refuse p * q above the degree bound before multiplying.  The free
-        algebra is a domain, so its degree is the sum of the factors'."""
-        if p and q:
+        """Refuse p * q above the degree bound, if any, before multiplying.  The
+        free algebra is a domain, so its degree is the sum of the factors'."""
+        if self.max_degree is not None and p and q:
             deg = max(map(len, p._terms)) + max(map(len, q._terms))
             if deg > self.max_degree:
                 raise ValueError(f"polynomial has a product of degree {deg} "
@@ -131,8 +131,7 @@ class _Parser:
             if ch == "[":
                 self.take(",")
                 q = self.expr()
-                if self.max_degree is not None:
-                    self.check_product(p, q)
+                self.check_product(p, q)
                 p = commutator(p, q)
             self.take(")" if ch == "(" else "]")
             self.depth -= 1
@@ -148,8 +147,7 @@ class _Parser:
         while self.tok == "*":
             self.advance()
             q = self.factor()
-            if self.max_degree is not None:
-                self.check_product(p, q)
+            self.check_product(p, q)
             p = p * q
         return p
 
@@ -175,9 +173,14 @@ class _Parser:
 def parse_poly(text: str, n: int, max_degree: int | None = None) -> Poly:
     """Parse an expression over the universe {1..n}.  With ``max_degree``,
     a product or commutator of higher degree is refused as soon as its
-    factors are read, even where it would later cancel."""
+    factors are read, even where it would later cancel, and so is a result
+    with a term of higher degree (only a lone letter at bound 0 gets there)."""
     parser = _Parser(text, n, max_degree)
     p = parser.expr()
     if parser.kind is not None:
         raise parser.error("end of input")
+    if max_degree is not None:
+        top = max(p.degrees(), default=0)
+        if top > max_degree:
+            raise ValueError(f"polynomial has degree {top} > --max-degree {max_degree}")
     return p

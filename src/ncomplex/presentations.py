@@ -26,6 +26,9 @@ from itertools import combinations, permutations
 from .complexes import Complex, Graph, NodeSet
 from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, commutator, symbol_key, u, z
 
+#: the most words one rel_4, rel_5 (2^(2|A|+2)) or rel_9 instance may have
+RELATION_WORD_CAP = 2 ** 18
+
 
 @dataclass(frozen=True)
 class Presentation:
@@ -54,6 +57,13 @@ class Presentation:
                 raise ValueError(f"relation symbol {s} is not in the alphabet")
 
 
+def _check_instance_words(builder: str, log2_words: int) -> None:
+    """Refuse an instance of about 2^log2_words words before its witnesses."""
+    if 2 ** log2_words > RELATION_WORD_CAP:
+        raise ValueError(f"{builder} would expand to about 2^{log2_words} words, "
+                         f"over the cap {RELATION_WORD_CAP}")
+
+
 def _require_witnesses(a: NodeSet, i: int, j: int) -> None:
     if i == j:
         raise ValueError(f"indices must differ, got i=j={i}")
@@ -77,15 +87,15 @@ def rel_multiplicative(a: NodeSet, i: int, j: int) -> Poly:
             - Poly.from_symbol(z(a.plus(j), i)) * Poly.from_symbol(z(a, j)))
 
 
-def _letters(a: NodeSet, *top: int) -> list[Symbol]:
-    """u(D + top) for every D inside A, in the canonical order of D."""
-    t = NodeSet.of(top, a.n)
-    return [u(d | t) for d in a.subsets()]
+def _letters(subsets: list[NodeSet], *top: int) -> list[Symbol]:
+    """u(D + top) for every D in the given subsets of one set, in their order."""
+    t = NodeSet.of(top, subsets[0].n)
+    return [u(d | t) for d in subsets]
 
 
 def _subset_sum(a: NodeSet, *top: int) -> Poly:
     """The sum of u(D + top) over all D inside A."""
-    return Poly._canonical({(x,): 1 for x in _letters(a, *top)}, a.n)
+    return Poly._canonical({(x,): 1 for x in _letters(a.subsets(), *top)}, a.n)
 
 
 def z_in_u(a: NodeSet, i: int) -> Poly:
@@ -121,14 +131,17 @@ def _quadratic(si: list[Symbol], sj: list[Symbol], sij: list[Symbol], n: int) ->
 def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     """The u-form quadratic relation of the base algebra, one per (A,i,j):
     (S_j + S_ij) S_i - (S_i + S_ij) S_j, where S_T sums u(D+T) over D inside A."""
+    _check_instance_words("rel_4", 2 * a.size + 2)
     _require_witnesses(a, i, j)
+    d = a.subsets()
     # swapping i and j negates the quadratic
-    return _quadratic(_letters(a, j), _letters(a, i), _letters(a, i, j), a.n)
+    return _quadratic(_letters(d, j), _letters(d, i), _letters(d, i, j), a.n)
 
 
 def _check_rel_4_words(n: int) -> None:
     """Refuse, before building it, a rel_4 family on n nodes of more than
     MONOMIAL_CAP words (4 * 4^|A| per instance, 4n(n-1) * 5^(n-2) in all)."""
+    NodeSet.full(n)  # refuses an n out of range before 5^(n-2) grows
     words = 4 * n * (n - 1) * 5 ** max(n - 2, 0)
     if words > MONOMIAL_CAP:
         raise ValueError(f"the rel_4 family on n={n} nodes has {words} words, "
@@ -138,6 +151,7 @@ def _check_rel_4_words(n: int) -> None:
 def rel_5(a: NodeSet, i: int, j: int) -> Poly:
     """Commutator form of rel_4; identically equal to -rel_4(A,i,j):
     sum of [u(C+i),u(D+j)] minus (sum of u(E+i+j)) * (sum of u(F+i)-u(F+j))."""
+    _check_instance_words("rel_5", 2 * a.size + 2)
     _require_witnesses(a, i, j)
     si = _subset_sum(a, i)
     sj = _subset_sum(a, j)
@@ -147,6 +161,7 @@ def rel_5(a: NodeSet, i: int, j: int) -> Poly:
 
 def rel_9(ap: NodeSet, bp: NodeSet, i: int, j: int) -> Poly:
     """Double commutator sum: [u(C+i), u(D+j)] over C inside A', D inside B'."""
+    _check_instance_words("rel_9", ap.size + bp.size + 1)
     if i == j:
         raise ValueError(f"indices must differ, got i=j={i}")
     if i in ap:

@@ -227,14 +227,14 @@ def strong_witnesses(c: Complex, a: NodeSet, b: NodeSet) -> list[tuple[int, int]
     return out
 
 
-def check_proposition(c: Complex, degree_bound: int = 2) -> CheckResult:
+def check_proposition(c: Complex) -> CheckResult:
     """Commutator vanishing for qualifying face pairs, plus the intermediate
     membership claims the induction rests on (see the module docstring for
-    the two qualifying conditions)."""
-    if degree_bound < 2:
-        raise ValueError("degree_bound must be >= 2")
+    the two qualifying conditions).  Every element tested has degree 2, and
+    the degree-2 slice decides its membership exactly, so the basis stops
+    there."""
     def body():
-        basis = TruncatedIdealBasis(qF_presentation(c), degree_bound)
+        basis = TruncatedIdealBasis(qF_presentation(c), 2)
         faces = c.sorted_faces()
         records = []
         failures = []
@@ -269,20 +269,19 @@ def check_proposition(c: Complex, degree_bound: int = 2) -> CheckResult:
                    "strong_pairs": sum(r["strong"] for r in records),
                    "records": records, "failures": failures}
         return not failures, witness
-    return _timed("proposition", {"complex": str(c), "d": degree_bound}, body)
+    return _timed("proposition", {"complex": str(c), "d": 2}, body)
 
 
-def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
+def check_theorem(g: Graph) -> CheckResult:
     """The graph relations hold in the quotient (this covers every nonzero
     triple relation instance, which the graph presentation holds), the recursion
     identity is an exact free-algebra identity, and every truncated quadratic
-    follows from the graph relations alone."""
-    if degree_bound < 2:
-        raise ValueError("degree_bound must be >= 2")
+    follows from the graph relations alone.  The relations and the truncated
+    quadratics have degree 2, which the degree-2 slices decide exactly."""
     def body():
         n = g.n
         failures = []
-        qf_basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), degree_bound)
+        qf_basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), 2)
         graph_pres = graph_presentation(g)
         for r in graph_pres.relations:
             if not qf_basis.contains(r):
@@ -295,7 +294,7 @@ def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
                 if identity_11_residual(a, i, j, k):
                     failures.append(f"identity (11) fails at A={a},i={i},j={j},k={k}")
 
-        graph_basis = TruncatedIdealBasis(graph_pres, degree_bound)
+        graph_basis = TruncatedIdealBasis(graph_pres, 2)
         induction = 0
         for a, i, j in _instances(n):
             induction += 1
@@ -307,7 +306,7 @@ def check_theorem(g: Graph, degree_bound: int = 2) -> CheckResult:
                    "identity11_instances": id11, "rel12_instances": math.perm(n, 3),
                    "induction_instances": induction, "failures": failures}
         return not failures, witness
-    return _timed("theorem", {"graph": str(g), "d": degree_bound}, body)
+    return _timed("theorem", {"graph": str(g), "d": 2}, body)
 
 
 def check_presentation_equivalence(g: Graph, d: int) -> CheckResult:
@@ -329,7 +328,8 @@ def check_presentation_equivalence(g: Graph, d: int) -> CheckResult:
 
 #: every check in run order (reports sort by check name): its subject ("n",
 #: a complex, or the graph of a complex of dimension <= 1) and how run_all
-#: calls it on one subject at the configured degree.  The lambdas look the
+#: calls it on one subject at the configured degree, which only
+#: commutative_case and presentation_equivalence read.  The lambdas look the
 #: check up by name when called, so rebinding a module attribute check_* (as
 #: a profiler does) reaches run_all.
 CHECKS: dict[str, tuple[str, Callable]] = {
@@ -337,8 +337,8 @@ CHECKS: dict[str, tuple[str, Callable]] = {
     "eq3_welldefined": ("n", lambda n, d: check_eq3_welldefined(n)),
     "corollary": ("n", lambda n, d: check_corollary(n)),
     "commutative_case": ("n", lambda n, d: check_commutative_case(n, d)),
-    "proposition": ("complex", lambda c, d: check_proposition(c, max(2, d))),
-    "theorem": ("graph", lambda g, d: check_theorem(g, max(2, d))),
+    "proposition": ("complex", lambda c, d: check_proposition(c)),
+    "theorem": ("graph", lambda g, d: check_theorem(g)),
     "presentation_equivalence": ("graph",
                                  lambda g, d: check_presentation_equivalence(g, d)),
 }

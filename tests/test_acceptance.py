@@ -153,7 +153,7 @@ def test_criterion_6_commutative_case():
 @criterion(7, 120, "commutator vanishing for qualifying face pairs")
 def test_criterion_7_proposition():
     for c in COMPLEX_FAMILY:
-        r = check_proposition(c, degree_bound=2)
+        r = check_proposition(c)
         assert r.passed, (str(c), r.witness["failures"])
         for rec in r.witness["records"]:
             if rec["strong"]:

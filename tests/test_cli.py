@@ -454,6 +454,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: n={n} outside 1..16\n"
 
+    @pytest.mark.parametrize("n", ["17", "7000", "10000000"])
+    def test_n_above_the_universe_refused_before_the_family_is_priced(self, capsys, n):
+        # the rel_4 family's price 4n(n-1) * 5^(n-2) has 14, 4,900 and about
+        # 7 million digits here
+        start = perf_counter()
+        code, out, err = run(capsys, ["verify", "--n", n])
+        assert perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: n={n} outside 1..16\n"
+
     def test_empty_check_list(self, capsys):
         code, out, err = run(capsys, ["verify", "--n", "2", "--checks", ","])
         assert code == 2 and out == ""

@@ -50,22 +50,27 @@ COMMANDS = (
        "'1/2*u({1})*u({3})-2/3*u({3})*u({1,2})+3*u({2})*u({2})' --max-degree 2",
        "membership --complex @p3 --poly '1 + [u({1}),u({3})]' --max-degree 2",
        "membership --complex @p3 --poly 'u({1,3})*z({},1)' --max-degree 3",
+       "membership --complex @p3 --poly 'u({1})' --max-degree 0",
        "relations --family 1 --n 3 --A 3 --i 1 --j 2",
        "relations --family 2 --n 3 --A 3 --i 1 --j 2",
        "relations --family 4 --n 2 --A '' --i 1 --j 2",
        "relations --family 4 --n 3 --A 3 --i 1 --j 2",
        "relations --family 5 --n 3 --A 3 --i 1 --j 2",
        "relations --family 9 --n 4 --A 3 --B 4 --i 1 --j 2",
+       "relations --family 9 --n 16 --A 3,4,5,6,7,8,9,10,11 "
+       "--B 3,4,5,6,7,8,9,10,11,12 --i 1 --j 2",
        "relations --family 10 --n 4 --A 3,4 --i 1 --j 2",
        "relations --family theorem --complex @c4",
        "verify --n 1",
        "verify --n 3",
        "verify --n 4 --format json",
+       "verify --n 17",
        "verify --n 2 --checks ','",
        "verify --n 2 --checks ''",
        "verify --complex @edgeless3",
        "verify --complex @simplex2",
-       "verify --complex @simplex2 --checks theorem"]
+       "verify --complex @simplex2 --checks theorem",
+       "verify --complex @p3 --max-degree 3"]
     + [f"verify --complex @{c}{fmt}" for c in VERIFIED
        for fmt in ("", " --format json")]
 )

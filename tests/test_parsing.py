@@ -117,6 +117,15 @@ def test_degree_bound():
     assert parse_poly("[u({1})*u({2}),u({1})*u({2})]", 3) == Poly.zero()
 
 
+def test_degree_bound_on_a_lone_letter():
+    # no product is formed, so the bound reaches the parsed result; the
+    # message is the one the CLI prints
+    with pytest.raises(ValueError, match=r"^polynomial has degree 1 > --max-degree 0$"):
+        parse_poly("u({1})", 3, max_degree=0)
+    assert parse_poly("2", 3, max_degree=0) == Poly({(): 2})
+    assert parse_poly("u({})", 3, max_degree=0) == Poly.one()
+
+
 def nested(depth, open_, inner, close):
     return open_ * depth + inner + close * depth
 

@@ -9,6 +9,7 @@ form.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from time import perf_counter
 
 import pytest
 
@@ -229,6 +230,43 @@ class TestURelations:
 
     def test_rel_5_swap(self):
         assert rel_5(ns(n=2), 2, 1) == -1 * rel_5(ns(n=2), 1, 2)
+
+
+class TestInstanceWordCap:
+    """rel_4 and rel_5 have 2^(2|A|+2) words and rel_9 2^(|A'|+|B'|+1); an
+    instance over 2^18 words is refused before its witnesses are checked."""
+
+    @pytest.mark.parametrize("size", [9, 14])
+    @pytest.mark.parametrize("builder,name", [(rel_4, "rel_4"), (rel_5, "rel_5")])
+    def test_rel_4_and_rel_5_refuse_big_sets_fast(self, builder, name, size):
+        a = NodeSet.of(range(1, size + 1), 16)
+        start = perf_counter()
+        # i lies in A, which the witness check would refuse
+        with pytest.raises(ValueError, match=f"^{name} would expand to about 2\\^"
+                                             f"{2 * size + 2} words, over the cap 262144$"):
+            builder(a, 1, 16)
+        assert perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("sizes", [(9, 9), (11, 7), (14, 4)])
+    def test_rel_9_refuses_big_sets_fast(self, sizes):
+        ap = NodeSet.of(range(3, 3 + sizes[0]), 16)
+        bp = NodeSet.of(range(1, 1 + sizes[1]), 16)  # holds j = 2
+        start = perf_counter()
+        with pytest.raises(ValueError, match=f"^rel_9 would expand to about "
+                                             f"2\\^{sum(sizes) + 1} words"):
+            rel_9(ap, bp, 1, 2)
+        assert perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("builder,sets", [(rel_4, (ns(3, 4, n=4),)),
+                                              (rel_5, (ns(3, 4, n=4),)),
+                                              (rel_9, (ns(3, 4, n=4), ns(3, 4, n=4)))])
+    def test_price_is_the_word_count(self, builder, sets, monkeypatch):
+        words = len(builder(*sets, 1, 2).terms)
+        monkeypatch.setattr("ncomplex.presentations.RELATION_WORD_CAP", words)
+        builder(*sets, 1, 2)
+        monkeypatch.setattr("ncomplex.presentations.RELATION_WORD_CAP", words - 1)
+        with pytest.raises(ValueError, match="would expand"):
+            builder(*sets, 1, 2)
 
 
 class TestRel9:

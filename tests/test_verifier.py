@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ncomplex.complexes import (
+    Graph,
     NodeSet,
     closure,
     complete_graph,
@@ -17,7 +18,7 @@ from ncomplex.complexes import (
 )
 from ncomplex.free_algebra import Poly, z
 from ncomplex.presentations import qF_presentation, qn_presentation
-from ncomplex.quotient_engine import graded_dimension
+from ncomplex.quotient_engine import TruncatedIdealBasis, graded_dimension
 from ncomplex.verifier import (
     CHECK_NAMES,
     CheckResult,
@@ -153,10 +154,6 @@ class TestProposition:
                                 not is_face(c, e | pair) for e in rest.subsets())
                             assert (not is_face(c, pair)) == all_supersets_dead
 
-    def test_degree_bound_validation(self):
-        with pytest.raises(ValueError):
-            check_proposition(closure([], 2), degree_bound=1)
-
 
 class TestTheorem:
     @pytest.mark.parametrize("g", [complete_graph(2), path_graph(3),
@@ -173,6 +170,37 @@ class TestTheorem:
         assert r.witness["relations"] == 1
         assert r.witness["identity11_instances"] == 0  # no room for A nonempty
         assert r.witness["induction_instances"] == 2   # (i,j) and (j,i), A empty
+
+
+class TestDegreeTwoDecides:
+    """proposition and theorem test degree-2 elements only, which the degree-2
+    slice decides exactly: bases built to degree 3 give the same witnesses."""
+
+    def assert_same_at_degree_3(self, check, subject, monkeypatch):
+        at_2 = check(subject)
+        asked = []
+
+        def build(pres, d):
+            asked.append(d)
+            return TruncatedIdealBasis(pres, 3)
+        monkeypatch.setattr("ncomplex.verifier.TruncatedIdealBasis", build)
+        at_3 = check(subject)
+        assert asked and set(asked) == {2}
+        assert at_3.params == at_2.params and at_2.params["d"] == 2
+        assert at_2.passed and at_3.passed and at_3.witness == at_2.witness
+
+    @pytest.mark.parametrize("c", [cycle_graph(4).as_complex(),
+                                   closure([[1, 2, 3], [3, 4]], 4)], ids=["C4", "K3+edge"])
+    def test_proposition(self, c, monkeypatch):
+        self.assert_same_at_degree_3(check_proposition, c, monkeypatch)
+
+    # the second graph is the 1-skeleton of the proposition's second complex
+    @pytest.mark.parametrize("g", [cycle_graph(4),
+                                   Graph.from_complex(closure([[1, 2], [1, 3], [2, 3],
+                                                               [3, 4]], 4))],
+                             ids=["C4", "paw"])
+    def test_theorem(self, g, monkeypatch):
+        self.assert_same_at_degree_3(check_theorem, g, monkeypatch)
 
 
 class TestSubcomplexMonotonicity:
