@@ -34,13 +34,13 @@ from .verifier import CHECK_NAMES, VerifyConfig, run_all
 def parse_complex_file(path: str) -> Complex:
     """Load a complex from the JSON schema {"n": int, "facets": [[int,...]]}."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    try:  # not UTF-8, bad syntax, too many digits or too deep nesting
+        obj = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: top level must be an object")
@@ -137,8 +137,7 @@ def _cmd_verify(args) -> int:
     # no --checks (or an empty one) leaves the choice to run_all
     checks = (tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
               if args.checks else None)
-    report = run_all(VerifyConfig(checks=checks, ns=ns, complexes=complexes,
-                                  max_degree=args.max_degree))
+    report = run_all(VerifyConfig(checks=checks, ns=ns, complexes=complexes))
     if args.format == "json":
         print(json.dumps(report.to_json_obj(), separators=(",", ":")))
     else:
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--checks", metavar="LIST",
                    help=f"comma-separated subset of: {','.join(CHECK_NAMES)}")
-    p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     return ap

@@ -2,7 +2,10 @@
 
 Each check is pure and returns a CheckResult whose witness is JSON-able and
 reproducible; failure never raises, it is recorded in the result.  run_all
-aggregates results into a VerificationReport.
+aggregates results into a VerificationReport.  Every verdict holds in all
+degrees: basis_lemma, eq3_welldefined and corollary are degree-1 or
+free-algebra facts, and the other four decide on degree-2 slices, as every
+algebra they build is quadratic once its killed letters are dropped.
 
 The commutator-vanishing check evaluates two candidate hypotheses.  The weak
 one (some i in A, j in B with {i,j} not a face) is demonstrably insufficient:
@@ -36,6 +39,7 @@ from .free_algebra import Poly, commutator, substitute, u, z
 from .presentations import (
     Presentation,
     _instances,
+    _u,
     _u_form,
     all_z_symbols,
     graph_presentation,
@@ -193,22 +197,27 @@ def check_corollary(n: int) -> CheckResult:
     return _timed("corollary", {"n": n}, body)
 
 
-def check_commutative_case(n: int, d: int) -> CheckResult:
-    """The 0-dimensional quotient has commutative-polynomial dimensions."""
+def check_commutative_case(n: int) -> CheckResult:
+    """The 0-dimensional quotient, quadratic on the n vertex letters, is the
+    commutative polynomial ring: its degree-2 slice holds every [u(i),u(j)]
+    and has their number C(n,2) as rank, so it is their span."""
     def body():
-        dims = graded_dimension(qF_presentation(closure([], n)), d)
-        expected = [math.comb(n + e - 1, e) for e in range(d + 1)]
+        basis = TruncatedIdealBasis(qF_presentation(closure([], n)), 2)
+        dims = basis.dimensions()
+        expected = [math.comb(n + e - 1, e) for e in range(3)]
         failures = ([] if dims == expected
                     else [f"dims {dims} != expected {expected}"])
-        return not failures, {"n": n, "d": d, "dims": dims, "expected": expected,
+        for i, j in combinations(range(1, n + 1), 2):
+            x, y = _u(n, i), _u(n, j)
+            if not basis.contains(commutator(x, y)):
+                failures.append(f"[{x},{y}] not in the quotient ideal")
+        return not failures, {"n": n, "d": 2, "dims": dims, "expected": expected,
                               "failures": failures}
-    return _timed("commutative_case", {"n": n, "d": d}, body)
+    return _timed("commutative_case", {"n": n, "d": 2}, body)
 
 
 def _pair_absent(c: Complex, x: int, y: int) -> bool:
-    if x == y:
-        return False
-    return not is_face(c, NodeSet.of((x, y), c.n))
+    return x != y and not is_face(c, NodeSet.of((x, y), c.n))
 
 
 def weak_witnesses(c: Complex, a: NodeSet, b: NodeSet) -> list[tuple[int, int]]:
@@ -219,12 +228,9 @@ def weak_witnesses(c: Complex, a: NodeSet, b: NodeSet) -> list[tuple[int, int]]:
 def strong_witnesses(c: Complex, a: NodeSet, b: NodeSet) -> list[tuple[int, int]]:
     """Weak witnesses whose non-adjacency extends pairwise across the two
     faces; this is what the induction argument needs."""
-    out = []
-    for i, j in weak_witnesses(c, a, b):
-        if all(_pair_absent(c, i, y) for y in b if y != j) and \
-           all(_pair_absent(c, x, j) for x in a if x != i):
-            out.append((i, j))
-    return out
+    return [(i, j) for i, j in weak_witnesses(c, a, b)
+            if all(_pair_absent(c, i, y) for y in b if y != j)
+            and all(_pair_absent(c, x, j) for x in a if x != i)]
 
 
 def check_proposition(c: Complex) -> CheckResult:
@@ -309,39 +315,34 @@ def check_theorem(g: Graph) -> CheckResult:
     return _timed("theorem", {"graph": str(g), "d": 2}, body)
 
 
-def check_presentation_equivalence(g: Graph, d: int) -> CheckResult:
-    """Graded dimensions of the kill-ideal quotient and of the graph
-    presentation agree up to degree d."""
+def check_presentation_equivalence(g: Graph) -> CheckResult:
+    """The kill-ideal quotient and the graph presentation, both quadratic on
+    the vertex and edge letters, are one algebra: the graph relations lie in
+    the quotient's degree-2 slice, and the two slices have equal rank."""
     def body():
-        qf = graded_dimension(qF_presentation(g.as_complex()), d)
-        gp = graded_dimension(graph_presentation(g), d)
+        qf_basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), 2)
+        graph_pres = graph_presentation(g)
+        qf, gp = qf_basis.dimensions(), graded_dimension(graph_pres, 2)
         failures = ([] if qf == gp
                     else [f"qF dims {qf} != graph dims {gp}"])
-        return not failures, {"graph": str(g), "d": d, "qF_dims": qf,
+        for r in graph_pres.relations:
+            if not qf_basis.contains(r):
+                failures.append(f"graph relation {r} not in the quotient ideal")
+        return not failures, {"graph": str(g), "d": 2, "qF_dims": qf,
                               "graph_dims": gp, "failures": failures}
-    return _timed("presentation_equivalence", {"graph": str(g), "d": d}, body)
+    return _timed("presentation_equivalence", {"graph": str(g), "d": 2}, body)
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
 
-#: every check in run order (reports sort by check name): its subject ("n",
-#: a complex, or the graph of a complex of dimension <= 1) and how run_all
-#: calls it on one subject at the configured degree, which only
-#: commutative_case and presentation_equivalence read.  The lambdas look the
-#: check up by name when called, so rebinding a module attribute check_* (as
-#: a profiler does) reaches run_all.
-CHECKS: dict[str, tuple[str, Callable]] = {
-    "basis_lemma": ("n", lambda n, d: check_basis_lemma(n)),
-    "eq3_welldefined": ("n", lambda n, d: check_eq3_welldefined(n)),
-    "corollary": ("n", lambda n, d: check_corollary(n)),
-    "commutative_case": ("n", lambda n, d: check_commutative_case(n, d)),
-    "proposition": ("complex", lambda c, d: check_proposition(c)),
-    "theorem": ("graph", lambda g, d: check_theorem(g)),
-    "presentation_equivalence": ("graph",
-                                 lambda g, d: check_presentation_equivalence(g, d)),
-}
+#: every check in run order (reports sort by check name) and its subject: n,
+#: a complex, or the graph of a complex of dimension <= 1.  run_all looks
+#: check_<name> up when it runs, so rebinding one (as a profiler does) counts.
+CHECKS = {"basis_lemma": "n", "eq3_welldefined": "n", "corollary": "n",
+          "commutative_case": "n", "proposition": "complex", "theorem": "graph",
+          "presentation_equivalence": "graph"}
 CHECK_NAMES = tuple(CHECKS)
 
 _NEEDS = {"n": "n (pass --n or a complex)", "complex": "a complex",
@@ -352,12 +353,12 @@ _NEEDS = {"n": "n (pass --n or a complex)", "complex": "a complex",
 class VerifyConfig:
     """``checks=None`` runs every check whose subject the config has: the
     n-checks on ``ns``, proposition on ``complexes``, the graph checks on
-    those of dimension <= 1.  Naming a check without its subject is an error."""
+    those of dimension <= 1.  Naming a check without its subject is an error.
+    No field is a degree: every check decides its claim in all degrees."""
 
     checks: tuple[str, ...] | None = None
     ns: tuple[int, ...] = ()
     complexes: tuple[Complex, ...] = ()
-    max_degree: int = 2
 
 
 def default_config() -> VerifyConfig:
@@ -370,16 +371,16 @@ def run_all(config: VerifyConfig) -> VerificationReport:
                 "graph": [Graph.from_complex(c) for c in config.complexes
                           if dimension(c) <= 1]}
     checks = (config.checks if config.checks is not None
-              else [name for name in CHECKS if subjects[CHECKS[name][0]]])
+              else [name for name in CHECKS if subjects[CHECKS[name]]])
     if not checks:
         raise ValueError(f"no checks selected; known: {', '.join(CHECK_NAMES)}")
     report = VerificationReport()
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-        subject, run = CHECKS[name]
+        subject = CHECKS[name]
         if not subjects[subject]:
             raise ValueError(f"check '{name}' needs {_NEEDS[subject]}")
-        for s in subjects[subject]:
-            report.entries.append(run(s, config.max_degree))
+        check = globals()[f"check_{name}"]
+        report.entries.extend(check(s) for s in subjects[subject])
     return report

@@ -69,6 +69,29 @@ class TestParseComplexFile:
         with pytest.raises(ValueError, match="cannot read"):
             parse_complex_file("/nonexistent/x.json")
 
+    # each refusal names the file and reaches the CLI as exit 2
+    def assert_refused(self, capsys, p, prefix):
+        with pytest.raises(ValueError) as exc:
+            parse_complex_file(str(p))
+        assert str(exc.value).startswith(prefix)
+        code, out, err = run(capsys, ["closure", "--complex", str(p)])
+        assert code == 2 and out == "" and err.startswith(f"error: {prefix}")
+
+    def test_nesting_too_deep(self, capsys, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200000)
+        self.assert_refused(capsys, p, f"malformed JSON in {p}: ")
+
+    def test_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_text('{"n": 3, "facets": []}', encoding="utf-16")
+        self.assert_refused(capsys, p, f"malformed JSON in {p}: 'utf-8' codec")
+
+    def test_integer_over_the_digit_limit(self, capsys, tmp_path):
+        p = tmp_path / "big.json"
+        p.write_text('{"n": ' + "9" * 5000 + ', "facets": []}')
+        self.assert_refused(capsys, p, f"malformed JSON in {p}: ")
+
 
 class TestClosureCommand:
     def test_output(self, capsys, path3):
@@ -268,9 +291,7 @@ class TestHilbertCommand:
                 (["hilbert", "--complex", str(one), "--max-degree", "9999999"],
                  "1^9999999 words"),
                 (["membership", "--complex", path3, "--poly", "u({1})",
-                  "--max-degree", "100000000"], "7^100000000 words"),
-                (["verify", "--n", "2", "--checks", "commutative_case",
-                  "--max-degree", "100000000"], "3^100000000 words")]:
+                  "--max-degree", "100000000"], "7^100000000 words")]:
             start = perf_counter()
             code, out, err = run(capsys, argv)
             assert perf_counter() - start < 1.0, argv
@@ -485,20 +506,34 @@ class TestVerifyCommand:
     ["membership", "--complex", "MISSING", "--poly", "0", "--max-degree", "-1"],
     ["membership", "--complex", "PATH3", "--poly", "u({1})*u({2})", "--max-degree", "-1"],
     ["membership", "--complex", "PATH3", "--poly", "u({1}", "--max-degree", "-1"],
-    ["verify", "--n", "2", "--max-degree", "-1"],
-    ["verify", "--complex", "MISSING", "--max-degree", "-1"],
-    ["verify", "--complex", "PATH3", "--max-degree", "-5",
-     "--checks", "proposition,theorem,corollary"],
-    ["verify", "--complex", "PATH3", "--max-degree", "-5",
-     "--checks", "presentation_equivalence"],
-], ids=["hilbert", "membership-zero", "membership-product", "membership-unparsable",
-        "verify-n", "verify-missing", "verify-graph-checks", "verify-equivalence"])
+], ids=["hilbert", "membership-zero", "membership-product", "membership-unparsable"])
 def test_negative_max_degree_refused_before_any_input(capsys, path3, tmp_path, argv):
     """One refusal for every subcommand that takes the flag, before the complex
     file, the polynomial or any presentation is read."""
     files = {"MISSING": str(tmp_path / "missing.json"), "PATH3": path3}
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert (code, out, err) == (2, "", "error: --max-degree must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--max-degree", "2"],
+    ["verify", "--n", "2", "--max-degree", "-1"],
+    ["verify", "--complex", "MISSING", "--max-degree", "-1"],
+    ["verify", "--complex", "PATH3", "--max-degree", "-5",
+     "--checks", "proposition,theorem,corollary"],
+    ["verify", "--complex", "PATH3", "--max-degree", "-5",
+     "--checks", "presentation_equivalence"],
+], ids=["verify-default-degree", "verify-n", "verify-missing", "verify-graph-checks",
+        "verify-equivalence"])
+def test_verify_takes_no_degree(capsys, path3, tmp_path, argv):
+    """Every verify check decides its claim in all degrees, so the flag is a
+    usage error, refused before the complex file is read."""
+    files = {"MISSING": str(tmp_path / "missing.json"), "PATH3": path3}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([files.get(a, a) for a in argv])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --max-degree" in out.err
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):

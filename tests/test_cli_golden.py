@@ -69,8 +69,7 @@ COMMANDS = (
        "verify --n 2 --checks ''",
        "verify --complex @edgeless3",
        "verify --complex @simplex2",
-       "verify --complex @simplex2 --checks theorem",
-       "verify --complex @p3 --max-degree 3"]
+       "verify --complex @simplex2 --checks theorem"]
     + [f"verify --complex @{c}{fmt}" for c in VERIFIED
        for fmt in ("", " --format json")]
 )

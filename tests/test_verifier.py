@@ -16,8 +16,13 @@ from ncomplex.complexes import (
     path_graph,
     star_graph,
 )
-from ncomplex.free_algebra import Poly, z
-from ncomplex.presentations import qF_presentation, qn_presentation
+from ncomplex.free_algebra import Poly, u, z
+from ncomplex.presentations import (
+    Presentation,
+    graph_presentation,
+    qF_presentation,
+    qn_presentation,
+)
 from ncomplex.quotient_engine import TruncatedIdealBasis, graded_dimension
 from ncomplex.verifier import (
     CHECK_NAMES,
@@ -92,10 +97,21 @@ class TestCorollary:
 
 class TestCommutativeCase:
     def test_examples(self):
-        assert check_commutative_case(3, 2).witness["dims"] == [1, 3, 6]
-        assert check_commutative_case(2, 3).witness["dims"] == [1, 2, 3, 4]
-        r = check_commutative_case(1, 3)
-        assert r.passed and r.witness["dims"] == [1, 1, 1, 1]
+        assert check_commutative_case(3).witness["dims"] == [1, 3, 6]
+        assert check_commutative_case(2).witness["dims"] == [1, 2, 3]
+        r = check_commutative_case(1)
+        assert r.passed and r.witness["dims"] == [1, 1, 1]
+
+    def test_equal_dims_without_commutators_fail(self, monkeypatch):
+        # k<x1,x2>/(x1*x2) has the polynomial ring's dimensions in every
+        # degree, but its degree-2 slice misses [x1,x2]
+        x1, x2 = u(NodeSet.of((1,), 2)), u(NodeSet.of((2,), 2))
+        monomial = Presentation("x1x2", (x1, x2),
+                                (Poly.from_symbol(x1) * Poly.from_symbol(x2),))
+        monkeypatch.setattr("ncomplex.verifier.qF_presentation", lambda c: monomial)
+        r = check_commutative_case(2)
+        assert not r.passed and r.witness["dims"] == [1, 2, 3]
+        assert r.witness["failures"] == ["[u({1}),u({2})] not in the quotient ideal"]
 
 
 class TestProposition:
@@ -217,30 +233,38 @@ class TestSubcomplexMonotonicity:
 
 class TestPresentationEquivalence:
     def test_edgeless(self):
-        r = check_presentation_equivalence(edgeless_graph(3), 2)
+        r = check_presentation_equivalence(edgeless_graph(3))
         assert r.passed and r.witness["qF_dims"] == [1, 3, 6]
 
     def test_k2(self):
-        r = check_presentation_equivalence(complete_graph(2), 2)
+        r = check_presentation_equivalence(complete_graph(2))
         assert r.passed and r.witness["qF_dims"] == [1, 3, 8]
 
-    def test_path_degree_3(self):
-        r = check_presentation_equivalence(path_graph(3), 3)
-        assert r.passed
-        assert r.witness["qF_dims"] == r.witness["graph_dims"]
+    def test_equal_dims_with_other_relations_fail(self, monkeypatch):
+        # the squares of P3's five letters give the graph side Q_F's
+        # dimensions [1, 5, 20], but no square lies in Q_F's degree-2 slice
+        g = path_graph(3)
+        letters = graph_presentation(g).alphabet
+        squares = Presentation("squares", letters, tuple(
+            Poly.from_symbol(s) * Poly.from_symbol(s) for s in letters))
+        monkeypatch.setattr("ncomplex.verifier.graph_presentation", lambda g: squares)
+        r = check_presentation_equivalence(g)
+        assert not r.passed
+        assert r.witness["qF_dims"] == r.witness["graph_dims"] == [1, 5, 20]
+        assert len(r.witness["failures"]) == 5
 
     @pytest.mark.parametrize("g,dims", [
+        (path_graph(3), [1, 5, 20, 76]),
         (complete_graph(4), [1, 10, 83, 667]),
         (cycle_graph(4), [1, 8, 48, 264]),
         (path_graph(4), [1, 7, 36, 168]),
         (star_graph(4), [1, 7, 37, 182]),
-    ], ids=["K4", "C4", "P4", "S3"])
+    ], ids=["P3", "K4", "C4", "P4", "S3"])
     def test_hilbert_goldens_degree_3(self, g, dims):
         # regression values; the two independent presentations agreeing on
         # them is itself the cross-check
-        r = check_presentation_equivalence(g, 3)
-        assert r.passed
-        assert r.witness["qF_dims"] == dims
+        assert graded_dimension(qF_presentation(g.as_complex()), 3) == dims
+        assert graded_dimension(graph_presentation(g), 3) == dims
 
 
 class TestRunAll:
