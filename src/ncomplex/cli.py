@@ -57,7 +57,10 @@ def parse_complex_file(path: str) -> Complex:
     facets = obj["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ValueError(f"{path}: 'facets' must be a list of vertex lists")
-    return closure(facets, n)
+    try:
+        return closure(facets, n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_node_set(flag: str, text: str, n: int) -> NodeSet:

@@ -14,14 +14,19 @@ from typing import Iterable, Iterator
 UNIVERSE_CAP = 16
 
 
+def _vertex_text(v: object) -> str:
+    """repr(v) for a refusal, cut to at most 40 characters."""
+    return f"{v!r:.37}..." if len(repr(v)) > 40 else repr(v)
+
+
 def _mask_of(members: Iterable[int], n: int) -> int:
     mask = 0
     for v in members:
         if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"vertex {v!r} is not an integer")
+            raise ValueError(f"vertex {_vertex_text(v)} is not an integer")
         if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} exceeds n={n}" if v > n
-                             else f"vertex {v} is below 1")
+            raise ValueError(f"vertex {_vertex_text(v)} "
+                             + (f"exceeds n={n}" if v > n else "is below 1"))
         mask |= 1 << (v - 1)
     return mask
 

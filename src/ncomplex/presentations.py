@@ -13,9 +13,10 @@ Two sign conventions are deliberate and verified by the test suite:
   relation and makes rel_10 the image of rel_5 under killing u(S), |S| >= 3.
 
 rel_4, rel_10 and the graph relations (i) and (ii) list their +-1 terms
-through one builder, _quadratic.  rel_5, rel_9, the z/u change of basis and
-identity_11_residual stay Poly arithmetic: they are the independent forms
-that the checks and tests compare the builder against.
+through one builder, _quadratic; the u form's rel_4 family sends only (A,i,j)
+with i < j through it and lists (A,j,i) as the negation.  rel_5, rel_9, the
+z/u change of basis and identity_11_residual stay Poly arithmetic: they are
+the independent forms that the checks and tests compare the builder against.
 """
 
 from __future__ import annotations
@@ -44,14 +45,16 @@ class Presentation:
         if len(allowed) != len(self.alphabet):
             raise ValueError("duplicate generator in alphabet")
         for r in self.relations:
-            degrees = r.degrees()
-            if not degrees:
+            if not r:
                 raise ValueError("zero polynomial is not a relation")
-            if len(degrees) > 1:
-                raise ValueError(f"inhomogeneous relation: {r}")
-            if degrees == [0]:
+            degree, stray = len(next(iter(r._terms))), set()
+            for w in r._terms:
+                if len(w) != degree:
+                    raise ValueError(f"inhomogeneous relation: {r}")
+                if not allowed.issuperset(w):
+                    stray.update(s for s in w if s not in allowed)
+            if not degree:
                 raise ValueError(f"constant relation: {r}")
-            stray = r.symbols() - allowed
             if stray:
                 s = sorted(stray, key=symbol_key)[0]
                 raise ValueError(f"relation symbol {s} is not in the alphabet")
@@ -87,15 +90,10 @@ def rel_multiplicative(a: NodeSet, i: int, j: int) -> Poly:
             - Poly.from_symbol(z(a.plus(j), i)) * Poly.from_symbol(z(a, j)))
 
 
-def _letters(subsets: list[NodeSet], *top: int) -> list[Symbol]:
-    """u(D + top) for every D in the given subsets of one set, in their order."""
-    t = NodeSet.of(top, subsets[0].n)
-    return [u(d | t) for d in subsets]
-
-
 def _subset_sum(a: NodeSet, *top: int) -> Poly:
     """The sum of u(D + top) over all D inside A."""
-    return Poly._canonical({(x,): 1 for x in _letters(a.subsets(), *top)}, a.n)
+    t = NodeSet.of(top, a.n)
+    return Poly._canonical({(u(d | t),): 1 for d in a.subsets()}, a.n)
 
 
 def z_in_u(a: NodeSet, i: int) -> Poly:
@@ -128,14 +126,21 @@ def _quadratic(si: list[Symbol], sj: list[Symbol], sij: list[Symbol], n: int) ->
     return Poly._canonical(terms, n)
 
 
+def _rel_4_letters(a: NodeSet, i: int, j: int, letter) -> list[list[Symbol]]:
+    """rel_4(A,i,j)'s letter lists u(D+j), u(D+i) and u(D+i+j) over D inside
+    A, in subset order; letter(mask) is the u letter of a bitmask."""
+    masks = [d.bits for d in a.subsets()]
+    tops = (1 << j - 1, 1 << i - 1, 1 << i - 1 | 1 << j - 1)
+    return [[letter(m | t) for m in masks] for t in tops]
+
+
 def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     """The u-form quadratic relation of the base algebra, one per (A,i,j):
     (S_j + S_ij) S_i - (S_i + S_ij) S_j, where S_T sums u(D+T) over D inside A."""
     _check_instance_words("rel_4", 2 * a.size + 2)
     _require_witnesses(a, i, j)
-    d = a.subsets()
     # swapping i and j negates the quadratic
-    return _quadratic(_letters(d, j), _letters(d, i), _letters(d, i, j), a.n)
+    return _quadratic(*_rel_4_letters(a, i, j, lambda m: u(NodeSet(a.n, m))), a.n)
 
 
 def _check_rel_4_words(n: int) -> None:
@@ -251,21 +256,23 @@ def all_u_symbols(n: int) -> list[Symbol]:
 
 
 def all_z_symbols(n: int) -> list[Symbol]:
-    out = []
-    for a in NodeSet.full(n).subsets():
-        for i in range(1, n + 1):
-            if i not in a:
-                out.append(z(a, i))
-    return out
+    return [z(a, i) for a in NodeSet.full(n).subsets() for i in range(1, n + 1)
+            if i not in a]
 
 
 def _u_form(n: int) -> tuple[tuple[Symbol, ...], tuple[Poly, ...]]:
     """The base algebra's u form: the sorted u alphabet and the rel_4 family
-    in _instances order, priced before any instance is built.  Q_n, Q_F and
+    in _instances order, priced before any instance is built, from one table
+    of letters; (A,j,i), listed after (A,i,j), is its negation.  Q_n, Q_F and
     the corollary check all read the family from here."""
     _check_rel_4_words(n)
     alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
-    return alphabet, tuple(rel_4(a, i, j) for a, i, j in _instances(n))
+    letter = {s.a.bits: s for s in alphabet}.__getitem__
+    family: dict[tuple[int, int, int], Poly] = {}
+    for a, i, j in _instances(n):
+        family[a.bits, i, j] = (-family[a.bits, j, i] if i > j else
+                                _quadratic(*_rel_4_letters(a, i, j, letter), n))
+    return alphabet, tuple(family.values())
 
 
 def qn_presentation(n: int, form: str) -> Presentation:
@@ -278,11 +285,8 @@ def qn_presentation(n: int, form: str) -> Presentation:
         return Presentation(f"Qn(n={n},form=u)", *_u_form(n))
     _check_rel_4_words(n)
     alphabet = tuple(sorted(all_z_symbols(n), key=symbol_key))
-    relations: list[Poly] = []
-    for a, i, j in _instances(n):
-        relations.append(rel_additive(a, i, j))
-    for a, i, j in _instances(n):
-        relations.append(rel_multiplicative(a, i, j))
+    insts = _instances(n)
+    relations = [rel_additive(*x) for x in insts] + [rel_multiplicative(*x) for x in insts]
     return Presentation(f"Qn(n={n},form=z)", alphabet, tuple(relations))
 
 
@@ -301,6 +305,4 @@ def graph_presentation(g: Graph) -> Presentation:
     alphabet = [u(NodeSet.of((i,), n)) for i in range(1, n + 1)]
     alphabet += [u(NodeSet.of(e, n)) for e in g.sorted_edges()]
     alphabet = tuple(sorted(alphabet, key=symbol_key))
-    relations = tuple(theorem_relations(g))
-    label = f"QGraph(n={n},edges={g})"
-    return Presentation(label, alphabet, relations)
+    return Presentation(f"QGraph(n={n},edges={g})", alphabet, tuple(theorem_relations(g)))

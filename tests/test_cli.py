@@ -92,6 +92,21 @@ class TestParseComplexFile:
         p.write_text('{"n": ' + "9" * 5000 + ', "facets": []}')
         self.assert_refused(capsys, p, f"malformed JSON in {p}: ")
 
+    def test_closure_refusal_names_the_file(self, capsys, tmp_path):
+        p = tmp_path / "v4.json"
+        p.write_text('{"n": 3, "facets": [[1,4]]}')
+        self.assert_refused(capsys, p, f"{p}: vertex 4 exceeds n=3")
+
+    @pytest.mark.parametrize("vertex,shown", [
+        ("[" * 499 + "]" * 499, "[" * 37 + "... is not an integer"),
+        ("4" + "0" * 60, "4" + "0" * 36 + "... exceeds n=3")])
+    def test_vertex_cut_short(self, capsys, tmp_path, vertex, shown):
+        p = tmp_path / "long.json"
+        p.write_text('{"n": 3, "facets": [[' + vertex + "]]}")
+        self.assert_refused(capsys, p, f"{p}: vertex {shown}")
+        _, _, err = run(capsys, ["closure", "--complex", str(p)])
+        assert err == f"error: {p}: vertex {shown}\n"
+
 
 class TestClosureCommand:
     def test_output(self, capsys, path3):

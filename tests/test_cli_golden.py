@@ -42,6 +42,7 @@ COMMANDS = (
     + [f"hilbert --complex @{c} --max-degree 3"
        for c in ("p4", "p5", "c4", "k4_123", "tetra", "edgeless3")]
     + ["hilbert --complex @simplex2 --max-degree 4",
+       "hilbert --complex @p5 --max-degree 2",
        "hilbert --complex @p5 --max-degree 4",
        "hilbert --complex @c4 --max-degree 4 --presentation graph",
        "hilbert --complex @p4 --max-degree 3 --presentation graph",
@@ -51,10 +52,18 @@ COMMANDS = (
        "membership --complex @p3 --poly '1 + [u({1}),u({3})]' --max-degree 2",
        "membership --complex @p3 --poly 'u({1,3})*z({},1)' --max-degree 3",
        "membership --complex @p3 --poly 'u({1})' --max-degree 0",
+       # rel_4({3},2,1), an entry of the family that Q_F lists by negation
+       "membership --complex @p3 --poly 'u({1})*u({2}) + u({1})*u({2,3}) "
+       "- u({2})*u({1}) - u({2})*u({1,3}) - u({1,2})*u({1}) + u({1,2})*u({2}) "
+       "- u({1,2})*u({1,3}) + u({1,2})*u({2,3}) + u({1,3})*u({2}) "
+       "+ u({1,3})*u({2,3}) - u({2,3})*u({1}) - u({2,3})*u({1,3}) "
+       "- u({1,2,3})*u({1}) + u({1,2,3})*u({2}) - u({1,2,3})*u({1,3}) "
+       "+ u({1,2,3})*u({2,3})' --max-degree 2",
        "relations --family 1 --n 3 --A 3 --i 1 --j 2",
        "relations --family 2 --n 3 --A 3 --i 1 --j 2",
        "relations --family 4 --n 2 --A '' --i 1 --j 2",
        "relations --family 4 --n 3 --A 3 --i 1 --j 2",
+       "relations --family 4 --n 3 --A 3 --i 2 --j 1",
        "relations --family 5 --n 3 --A 3 --i 1 --j 2",
        "relations --family 9 --n 4 --A 3 --B 4 --i 1 --j 2",
        "relations --family 9 --n 16 --A 3,4,5,6,7,8,9,10,11 "

@@ -25,10 +25,12 @@ from ncomplex.complexes import (
     star_graph,
 )
 from ncomplex.free_algebra import Poly, commutator, poly_text, substitute, symbol_key, u, z
+from ncomplex import presentations
 from ncomplex.presentations import (
     Presentation,
     _check_rel_4_words,
     _instances,
+    _u_form,
     all_u_symbols,
     all_z_symbols,
     graph_presentation,
@@ -230,6 +232,33 @@ class TestURelations:
 
     def test_rel_5_swap(self):
         assert rel_5(ns(n=2), 2, 1) == -1 * rel_5(ns(n=2), 1, 2)
+
+
+class TestUFormFamily:
+    """_u_form builds each letter once and lists (A,j,i) as -(A,i,j)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_letter_is_built_once(self, monkeypatch, n):
+        calls = []
+
+        def counting_u(a):
+            calls.append(a)
+            return u(a)
+        monkeypatch.setattr(presentations, "u", counting_u)
+        _u_form(n)
+        assert len(calls) == 2 ** n - 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_swapped_entries_are_negations(self, n):
+        insts = _instances(n)
+        _, family = _u_form(n)
+        entries = dict(zip(((a.bits, i, j) for a, i, j in insts), family))
+        swapped = [(a, i, j) for a, i, j in insts if i > j]
+        assert len(swapped) == len(insts) // 2
+        for a, j, i in swapped:
+            entry = entries[a.bits, j, i]
+            assert entry == -rel_4(a, i, j), (a, j, i)
+            assert entry == rel_4(a, j, i), (a, j, i)
 
 
 class TestInstanceWordCap:
@@ -541,6 +570,15 @@ class TestPresentations:
             Presentation("bad", (a,), (Poly.zero(),))
         with pytest.raises(ValueError, match="constant relation: 2"):
             Presentation("bad", (a,), (Poly.one() * 2,))
+        # of two stray symbols the smallest is named, whichever word holds it
+        c, ab = u(ns(3)), u(ns(1, 2))
+        two_strays = Poly({(a, ab): 1, (a, c): 1})
+        with pytest.raises(ValueError, match=r"relation symbol u\(\{3\}\) is not"):
+            Presentation("bad", (a,), (two_strays,))
+        # a constant beside degree-2 words is inhomogeneous, whichever comes first
+        for terms in ({(): 1, (a, b): 1}, {(a, b): 1, (): 1}):
+            with pytest.raises(ValueError, match="inhomogeneous relation"):
+                Presentation("bad", (a, b), (Poly(terms),))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +627,7 @@ class TestConstructionOracle:
         for c in complexes:
             assert _shape(qF_presentation(c)) == _shape(_oracle_qF(c)), c
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_qn_u(self, n):
         assert _shape(qn_presentation(n, "u")) == _shape(_oracle_qn_u(n))
 
