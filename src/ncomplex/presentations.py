@@ -12,11 +12,14 @@ Two sign conventions are deliberate and verified by the test suite:
   sign, which is what makes rel_10(empty, i, j) equal the degree-two pair
   relation and makes rel_10 the image of rel_5 under killing u(S), |S| >= 3.
 
-rel_4, rel_10 and the graph relations (i) and (ii) list their +-1 terms
-through one builder, _quadratic; the u form's rel_4 family sends only (A,i,j)
-with i < j through it and lists (A,j,i) as the negation.  rel_5, rel_9, the
-z/u change of basis and identity_11_residual stay Poly arithmetic: they are
-the independent forms that the checks and tests compare the builder against.
+Every quadratic family is rel_4 over a table of letters: _rel_4_letters
+lists rel_4's letter lists from a letter-of-a-bitmask function, which may
+set a letter to zero, and _quadratic lists their +-1 terms.  rel_4 builds
+each letter; the u form reads a table of all 2^n - 1 and lists (A,j,i) as
+the negation of (A,i,j); rel_10 and the graph relations (i), (ii) read the
+table of vertex and edge letters.  rel_5, rel_9, the z/u change of basis
+and identity_11_residual stay Poly arithmetic: the independent forms that
+the checks and tests compare the builder against.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ def _require_witnesses(a: NodeSet, i: int, j: int) -> None:
         raise ValueError(f"index i={i} lies in A={a}")
     if j in a:
         raise ValueError(f"index j={j} lies in A={a}")
+    NodeSet.of((i, j), a.n)  # refuses a vertex outside 1..n before any shift
 
 
 def rel_additive(a: NodeSet, i: int, j: int) -> Poly:
@@ -126,12 +130,12 @@ def _quadratic(si: list[Symbol], sj: list[Symbol], sij: list[Symbol], n: int) ->
     return Poly._canonical(terms, n)
 
 
-def _rel_4_letters(a: NodeSet, i: int, j: int, letter) -> list[list[Symbol]]:
-    """rel_4(A,i,j)'s letter lists u(D+j), u(D+i) and u(D+i+j) over D inside
-    A, in subset order; letter(mask) is the u letter of a bitmask."""
-    masks = [d.bits for d in a.subsets()]
+def _rel_4_letters(masks: list[int], i: int, j: int, letter) -> list[list[Symbol]]:
+    """rel_4(A,i,j)'s letter lists u(D+j), u(D+i) and u(D+i+j) over the sets D
+    of the given bitmasks, in their order.  letter(mask) is the u letter of a
+    bitmask, or None for a letter set to zero, which the lists leave out."""
     tops = (1 << j - 1, 1 << i - 1, 1 << i - 1 | 1 << j - 1)
-    return [[letter(m | t) for m in masks] for t in tops]
+    return [[x for m in masks if (x := letter(m | t)) is not None] for t in tops]
 
 
 def rel_4(a: NodeSet, i: int, j: int) -> Poly:
@@ -140,7 +144,8 @@ def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     _check_instance_words("rel_4", 2 * a.size + 2)
     _require_witnesses(a, i, j)
     # swapping i and j negates the quadratic
-    return _quadratic(*_rel_4_letters(a, i, j, lambda m: u(NodeSet(a.n, m))), a.n)
+    return _quadratic(*_rel_4_letters([d.bits for d in a.subsets()], i, j,
+                                      lambda m: u(NodeSet(a.n, m))), a.n)
 
 
 def _check_rel_4_words(n: int) -> None:
@@ -180,19 +185,30 @@ def _u(n: int, *vertices: int) -> Poly:
     return Poly.from_symbol(u(NodeSet.of(vertices, n)))
 
 
+def _vertex_edge_letters(n: int, vertices, edges) -> dict[int, Symbol]:
+    """The u letters of the given vertices and edges, keyed by bitmask."""
+    masks = [1 << v - 1 for v in vertices]
+    masks += [1 << i - 1 | 1 << j - 1 for i, j in edges]
+    return {m: u(NodeSet(n, m)) for m in masks}
+
+
+def _truncated(a, i: int, j: int, letters: dict[int, Symbol], n: int) -> Poly:
+    """R(A,i,j), A given by its nodes: rel_4(A,j,i) over a table of vertex and
+    edge letters, every other letter zero.  A letter u(D+T) with |D| >= 2 has
+    three nodes, so only D = empty and the singletons of A are listed."""
+    masks = [0] + [1 << k - 1 for k in a]
+    return _quadratic(*_rel_4_letters(masks, j, i, letters.get), n)
+
+
 def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
-    """The quadratic element R(A,i,j): rel_5(A,i,j) with every u(S), |S| >= 3,
-    set to zero, that is [P_i,P_j] - u(ij)(P_i - P_j) with
+    """The quadratic element R(A,i,j): rel_5(A,i,j) = rel_4(A,j,i) with every
+    u(S), |S| >= 3, set to zero, that is [P_i,P_j] - u(ij)(P_i - P_j) with
     P_i = u(i) + sum over k in A of u(ik).  With a graph argument, non-edge
     pair generators are also zeroed at build time."""
     _require_witnesses(a, i, j)
-    n = a.n
-
-    def pairs(x: int, ys) -> list[Symbol]:
-        return [u(NodeSet.of((x, y), n)) for y in ys
-                if graph is None or graph.has_edge(x, y)]
-    return _quadratic([u(NodeSet.of((i,), n))] + pairs(i, a),
-                      [u(NodeSet.of((j,), n))] + pairs(j, a), pairs(i, (j,)), n)
+    pairs = [(i, j)] + [(x, k) for k in a for x in (i, j)]
+    edges = [e for e in pairs if graph is None or graph.has_edge(*e)]
+    return _truncated(a, i, j, _vertex_edge_letters(a.n, (i, j), edges), a.n)
 
 
 def identity_11_residual(a: NodeSet, i: int, j: int, k: int) -> Poly:
@@ -213,36 +229,10 @@ def identity_11_residual(a: NodeSet, i: int, j: int, k: int) -> Poly:
     return out
 
 
-def theorem_rel_i(i: int, j: int, g: Graph) -> Poly:
-    """Pair relation  [u(i),u(j)] - u(ij)(u(i)-u(j))  with non-edges zeroed:
-    R(empty,i,j)."""
-    return rel_10(NodeSet(g.n, 0), i, j, g)
-
-
-def theorem_rel_ii(i: int, j: int, k: int, g: Graph) -> Poly:
-    """Triple relation  [u(ik),u(jk)] + [u(ik),u(j)] + [u(i),u(jk)]
-    - u(ij)(u(ik)-u(jk))  with non-edges zeroed: R({k},i,j) - R(empty,i,j)."""
-    return rel_10(NodeSet.of((k,), g.n), i, j, g) - theorem_rel_i(i, j, g)
-
-
-def theorem_rel_iii(i: int, j: int, k: int, el: int, g: Graph) -> Poly:
-    """Disjoint-edge relation  [u(ij),u(kl)]  with non-edges zeroed."""
-    if not (g.has_edge(i, j) and g.has_edge(k, el)):
-        return Poly.zero()
-    return commutator(_u(g.n, i, j), _u(g.n, k, el))
-
-
 def theorem_relations(g: Graph) -> list[Poly]:
-    """All instances of the three graph relation families, in a fixed order;
-    instances that vanish identically under the non-edge convention are
-    dropped."""
-    nodes = range(1, g.n + 1)
-    out = [theorem_rel_i(i, j, g) for i, j in combinations(nodes, 2)]
-    out += [theorem_rel_ii(i, j, k, g) for i, j, k in permutations(nodes, 3)]
-    out += [theorem_rel_iii(i, j, k, el, g)
-            for (i, j), (k, el) in combinations(g.sorted_edges(), 2)
-            if not {i, j} & {k, el}]
-    return [r for r in out if r]
+    """The graph presentation's relations: every instance of the three graph
+    relation families that the non-edge convention leaves nonzero, in order."""
+    return list(graph_presentation(g).relations)
 
 
 def _instances(n: int) -> list[tuple[NodeSet, int, int]]:
@@ -270,8 +260,8 @@ def _u_form(n: int) -> tuple[tuple[Symbol, ...], tuple[Poly, ...]]:
     letter = {s.a.bits: s for s in alphabet}.__getitem__
     family: dict[tuple[int, int, int], Poly] = {}
     for a, i, j in _instances(n):
-        family[a.bits, i, j] = (-family[a.bits, j, i] if i > j else
-                                _quadratic(*_rel_4_letters(a, i, j, letter), n))
+        family[a.bits, i, j] = (-family[a.bits, j, i] if i > j else _quadratic(
+            *_rel_4_letters([d.bits for d in a.subsets()], i, j, letter), n))
     return alphabet, tuple(family.values())
 
 
@@ -300,9 +290,19 @@ def qF_presentation(c: Complex) -> Presentation:
 
 
 def graph_presentation(g: Graph) -> Presentation:
-    """The vertex-and-edge presentation of the quotient attached to a graph."""
-    n = g.n
-    alphabet = [u(NodeSet.of((i,), n)) for i in range(1, n + 1)]
-    alphabet += [u(NodeSet.of(e, n)) for e in g.sorted_edges()]
-    alphabet = tuple(sorted(alphabet, key=symbol_key))
-    return Presentation(f"QGraph(n={n},edges={g})", alphabet, tuple(theorem_relations(g)))
+    """The vertex-and-edge presentation of the quotient attached to a graph,
+    read off one table of those letters.  Its relations, in this order: (i)
+    R(empty,i,j), i < j; (ii) R({k},i,j) - R(empty,i,j) over distinct
+    (i,j,k); (iii) the commutators [u(ij),u(kl)] of disjoint edges.  Zero
+    instances are dropped; duplicates and negatives stay listed."""
+    n, letters = g.n, _vertex_edge_letters(g.n, range(1, g.n + 1), g.edges)
+    alphabet = tuple(sorted(letters.values(), key=symbol_key))
+    nodes = range(1, n + 1)
+    pair = {(i, j): _truncated((), i, j, letters, n) for i, j in permutations(nodes, 2)}
+    out = [pair[i, j] for i, j in combinations(nodes, 2)]
+    out += [_truncated((k,), i, j, letters, n) - pair[i, j]
+            for i, j, k in permutations(nodes, 3)]
+    edges = [s for s in alphabet if s.a.size == 2]
+    out += [commutator(Poly.from_symbol(e), Poly.from_symbol(f))
+            for e, f in combinations(edges, 2) if not e.a.bits & f.a.bits]
+    return Presentation(f"QGraph(n={n},edges={g})", alphabet, tuple(r for r in out if r))

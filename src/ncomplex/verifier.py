@@ -147,11 +147,11 @@ def check_basis_lemma(n: int) -> CheckResult:
             for i in range(1, n + 1):
                 if i in a:
                     continue
-                if substitute(z_in_u(a, i), ui[i]) != Poly.from_symbol(z(a, i)):
-                    failures.append(f"u->z->u round trip failed at z({a},{i})")
-                b = a.plus(i)
-                if substitute(u_in_z(b, i), zi) != Poly.from_symbol(u(b)):
-                    failures.append(f"z->u->z round trip failed at u({b})")
+                s, t = z(a, i), u(a.plus(i))
+                if substitute(zi[s], ui[i]) != Poly.from_symbol(s):
+                    failures.append(f"u->z->u round trip failed at {s}")
+                if substitute(ui[i][t], zi) != Poly.from_symbol(t):
+                    failures.append(f"z->u->z round trip failed at {t}")
                 roundtrips += 2
         witness = {"n": n, "expected_dim": expected, "z_dim": z_dim, "u_dim": u_dim,
                    "independent_u": independent, "roundtrips": roundtrips,
@@ -278,6 +278,16 @@ def check_proposition(c: Complex) -> CheckResult:
     return _timed("proposition", {"complex": str(c), "d": 2}, body)
 
 
+def _graph_relations_in_quotient(
+        g: Graph) -> tuple[TruncatedIdealBasis, Presentation, list[str]]:
+    """Q_F's degree-2 slice, the graph presentation, and one failure per graph
+    relation outside that slice."""
+    basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), 2)
+    pres = graph_presentation(g)
+    return basis, pres, [f"graph relation {r} not in the quotient ideal"
+                         for r in pres.relations if not basis.contains(r)]
+
+
 def check_theorem(g: Graph) -> CheckResult:
     """The graph relations hold in the quotient (this covers every nonzero
     triple relation instance, which the graph presentation holds), the recursion
@@ -286,13 +296,7 @@ def check_theorem(g: Graph) -> CheckResult:
     quadratics have degree 2, which the degree-2 slices decide exactly."""
     def body():
         n = g.n
-        failures = []
-        qf_basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), 2)
-        graph_pres = graph_presentation(g)
-        for r in graph_pres.relations:
-            if not qf_basis.contains(r):
-                failures.append(f"graph relation {r} not in the quotient ideal")
-
+        _, graph_pres, failures = _graph_relations_in_quotient(g)
         id11 = 0
         for a, i, j in _instances(n):
             for k in a:
@@ -320,14 +324,9 @@ def check_presentation_equivalence(g: Graph) -> CheckResult:
     the vertex and edge letters, are one algebra: the graph relations lie in
     the quotient's degree-2 slice, and the two slices have equal rank."""
     def body():
-        qf_basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), 2)
-        graph_pres = graph_presentation(g)
+        qf_basis, graph_pres, outside = _graph_relations_in_quotient(g)
         qf, gp = qf_basis.dimensions(), graded_dimension(graph_pres, 2)
-        failures = ([] if qf == gp
-                    else [f"qF dims {qf} != graph dims {gp}"])
-        for r in graph_pres.relations:
-            if not qf_basis.contains(r):
-                failures.append(f"graph relation {r} not in the quotient ideal")
+        failures = ([] if qf == gp else [f"qF dims {qf} != graph dims {gp}"]) + outside
         return not failures, {"graph": str(g), "d": 2, "qF_dims": qf,
                               "graph_dims": gp, "failures": failures}
     return _timed("presentation_equivalence", {"graph": str(g), "d": 2}, body)

@@ -177,6 +177,17 @@ class TestRelationsCommand:
         code, _, err = run(capsys, ["relations", "--family", "4", "--n", "2"])
         assert code == 2 and "requires" in err
 
+    @pytest.mark.parametrize("family", ["4", "10"])
+    @pytest.mark.parametrize("n,i,msg", [("2", "0", "vertex 0 is below 1"),
+                                         ("3", "4", "vertex 4 exceeds n=3"),
+                                         ("2", "1000000000", "vertex 1000000000 exceeds n=2")])
+    def test_index_outside_the_universe_refused_fast(self, capsys, family, n, i, msg):
+        start = perf_counter()
+        code, out, err = run(capsys, ["relations", "--family", family, "--n", n,
+                                      "--A", "", "--i", i, "--j", "1"])
+        assert perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
     def test_bad_instance(self, capsys):
         code, _, err = run(capsys, ["relations", "--family", "4", "--n", "2",
                                     "--A", "1", "--i", "1", "--j", "2"])
@@ -577,6 +588,7 @@ def test_readme_examples_print_what_readme_shows(capsys, monkeypatch, tmp_path,
                                                  path3, edgeless3):
     monkeypatch.chdir(tmp_path)
     examples = readme_examples()
-    assert [argv[0] for argv, _ in examples] == ["relations", "hilbert", "membership"]
+    assert [argv[0] for argv, _ in examples] == ["relations", "relations", "hilbert",
+                                                "membership"]
     for argv, shown in examples:
         assert run(capsys, argv) == (0, shown, ""), argv

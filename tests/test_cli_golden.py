@@ -70,6 +70,8 @@ COMMANDS = (
        "--B 3,4,5,6,7,8,9,10,11,12 --i 1 --j 2",
        "relations --family 10 --n 4 --A 3,4 --i 1 --j 2",
        "relations --family theorem --complex @c4",
+       "relations --family theorem --complex @p5",
+       "relations --family theorem --complex @paw",
        "verify --n 1",
        "verify --n 3",
        "verify --n 4 --format json",

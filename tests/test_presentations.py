@@ -7,6 +7,7 @@ truncated quadratic against an explicit kill-substitution of the commutator
 form.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 from time import perf_counter
@@ -43,9 +44,6 @@ from ncomplex.presentations import (
     rel_10,
     rel_additive,
     rel_multiplicative,
-    theorem_rel_i,
-    theorem_rel_ii,
-    theorem_rel_iii,
     theorem_relations,
     u_in_z,
     z_in_u,
@@ -358,7 +356,7 @@ class TestTheoremRelations:
     def test_complete_graph_on_two(self):
         g = complete_graph(2)
         rels = theorem_relations(g)
-        assert rels == [theorem_rel_i(1, 2, g)]
+        assert rels == [rel_10(ns(n=2), 1, 2, g)]
         expected = (commutator(up(1, n=2), up(2, n=2))
                     - up(1, 2, n=2) * (up(1, n=2) - up(2, n=2)))
         assert rels[0] == expected
@@ -369,7 +367,8 @@ class TestTheoremRelations:
                         commutator(up(2), up(3))]
 
     def test_path_triple_instance_with_convention(self):
-        got = theorem_rel_ii(1, 3, 2, path_graph(3))
+        g = path_graph(3)
+        got = rel_10(ns(2), 1, 3, g) - rel_10(ns(), 1, 3, g)
         expected = (commutator(up(1, 2), up(2, 3)) + commutator(up(1, 2), up(3))
                     + commutator(up(1), up(2, 3)))
         assert got == expected
@@ -381,13 +380,39 @@ class TestTheoremRelations:
             for g in all_graphs(n):
                 rels = theorem_relations(g)
                 for i, j, k in permutations(range(1, n + 1), 3):
-                    r = theorem_rel_ii(i, j, k, g)
+                    r = rel_ii_oracle(i, j, k, g)
                     assert not r or r in rels, (str(g), i, j, k)
 
     def test_counts(self):
         assert len(theorem_relations(path_graph(3))) == 9
         assert len(theorem_relations(complete_graph(3))) == 9
         assert len(theorem_relations(complete_graph(4))) == 33  # 6 + 24 + 3
+
+    @pytest.mark.parametrize("g,count,digest", [
+        (path_graph(5), 55, "381dd0f9ac2e4d1ac6836aa2a7df3124c47be98db7a932d1fbbb8d9cb2512317"),
+        (cycle_graph(5), 65, "1f62f2b898465d8a2980f51cf980db15021b551a7f152b23ab68b8f2024cd10a"),
+        (complete_graph(5), 85, "e66c7e8a2d130da7dc5e9227c28f6e4264f8341e0ffc701c3c66c7c29a2e89d7"),
+        (star_graph(5), 46, "b54e5b704c9715db6d475b104b7245ed333f7097b8a2496d2fc166b476e9c683"),
+    ], ids=["P5", "C5", "K5", "star5"])
+    def test_five_node_lists_frozen(self, g, count, digest):
+        # sha256 of the relations' text, one a line, freezes the list in
+        # order; P5's exact duplicates and +- pairs (55 relations, 43
+        # distinct, 28 up to sign) stay listed
+        rels = theorem_relations(g)
+        assert len(rels) == count
+        assert hashlib.sha256("\n".join(map(str, rels)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(4), complete_graph(4),
+                                   star_graph(4), edgeless_graph(3)], ids=str)
+    def test_each_letter_is_built_once(self, monkeypatch, g):
+        calls = []
+
+        def counting_u(a):
+            calls.append(a)
+            return u(a)
+        monkeypatch.setattr(presentations, "u", counting_u)
+        graph_presentation(g)
+        assert len(calls) == g.n + len(g.edges)
 
 
 # Poly-arithmetic forms of the quadratic R(A,i,j) and of the graph relations,
@@ -473,14 +498,12 @@ class TestQuadraticBuilder:
                 got = rel_10(a, i, j, graph=g)
                 assert got.terms == rel_10_oracle(a, i, j, g).terms, (str(g), a, i, j)
                 assert all_ints(got)
+            empty = NodeSet(n, 0)
             for i, j in permutations(range(1, n + 1), 2):
-                assert theorem_rel_i(i, j, g).terms == rel_i_oracle(i, j, g).terms
+                assert rel_10(empty, i, j, g).terms == rel_i_oracle(i, j, g).terms
             for i, j, k in permutations(range(1, n + 1), 3):
-                got = theorem_rel_ii(i, j, k, g)
+                got = rel_10(NodeSet.of((k,), n), i, j, g) - rel_10(empty, i, j, g)
                 assert got.terms == rel_ii_oracle(i, j, k, g).terms, (str(g), i, j, k)
-            for i, j, k, el in permutations(range(1, n + 1), 4):
-                got = theorem_rel_iii(i, j, k, el, g)
-                assert got.terms == rel_iii_oracle(i, j, k, el, g).terms
             rels = theorem_relations(g)
             assert rels == theorem_relations_oracle(g), str(g)
             assert all(all_ints(r) for r in rels)
@@ -488,12 +511,24 @@ class TestQuadraticBuilder:
     def test_repeated_index_is_refused(self):
         g = complete_graph(3)
         with pytest.raises(ValueError, match="indices must differ"):
-            theorem_rel_i(1, 1, g)
+            rel_10(ns(), 1, 1, g)
         with pytest.raises(ValueError, match="indices must differ"):
-            theorem_rel_ii(1, 1, 2, g)
+            rel_10(ns(2), 1, 1, g)
         for i, j, k in ((1, 2, 1), (1, 2, 2)):
             with pytest.raises(ValueError, match="lies in A"):
-                theorem_rel_ii(i, j, k, g)
+                rel_10(ns(k), i, j, g)
+
+    @pytest.mark.parametrize("builder", [rel_4, rel_10])
+    @pytest.mark.parametrize("i,j,msg", [
+        (0, 1, "vertex 0 is below 1"), (1, 3, "vertex 3 exceeds n=2"),
+        (-5, 2, "vertex -5 is below 1"), (10 ** 9, 1, "vertex 1000000000 exceeds n=2")])
+    def test_index_outside_the_universe_is_refused_fast(self, builder, i, j, msg):
+        # refused before any bitmask shift: a huge index once built a
+        # 2^(i-1) mask and printed it in hex
+        start = perf_counter()
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            builder(ns(n=2), i, j)
+        assert perf_counter() - start < 0.1
 
 
 class TestPresentations:
