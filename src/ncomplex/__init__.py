@@ -44,7 +44,6 @@ from .presentations import (
     rel_10,
     rel_additive,
     rel_multiplicative,
-    theorem_relations,
     u_in_z,
     z_in_u,
 )

@@ -25,7 +25,6 @@ from .presentations import (
     rel_10,
     rel_additive,
     rel_multiplicative,
-    theorem_relations,
 )
 from .quotient_engine import TruncatedIdealBasis, graded_dimension
 from .verifier import CHECK_NAMES, VerifyConfig, run_all
@@ -91,7 +90,7 @@ def _cmd_relations(args) -> int:
     if fam == "theorem":
         _require(args, fam, ["--complex"])
         g = Graph.from_complex(parse_complex_file(args.complex))
-        polys = theorem_relations(g)
+        polys = graph_presentation(g).relations
     else:
         _require(args, fam, ["--n", "--i", "--j", "--A"])
         n, i, j = args.n, args.i, args.j
@@ -103,7 +102,7 @@ def _cmd_relations(args) -> int:
             builder = {"1": rel_additive, "2": rel_multiplicative,
                        "4": rel_4, "5": rel_5, "10": rel_10}[fam]
             polys = [builder(a, i, j)]
-    print("\n".join(poly_text(p) for p in polys))
+    print("".join(poly_text(p) + "\n" for p in polys), end="")
     return 0
 
 

@@ -17,7 +17,8 @@ lists rel_4's letter lists from a letter-of-a-bitmask function, which may
 set a letter to zero, and _quadratic lists their +-1 terms.  rel_4 builds
 each letter; the u form reads a table of all 2^n - 1 and lists (A,j,i) as
 the negation of (A,i,j); rel_10 and the graph relations (i), (ii) read the
-table of vertex and edge letters.  rel_5, rel_9, the z/u change of basis
+table of vertex and edge letters.  The z form and the graph presentation
+list each relation once up to sign.  rel_5, rel_9, the z/u change of basis
 and identity_11_residual stay Poly arithmetic: the independent forms that
 the checks and tests compare the builder against.
 """
@@ -229,12 +230,6 @@ def identity_11_residual(a: NodeSet, i: int, j: int, k: int) -> Poly:
     return out
 
 
-def theorem_relations(g: Graph) -> list[Poly]:
-    """The graph presentation's relations: every instance of the three graph
-    relation families that the non-edge convention leaves nonzero, in order."""
-    return list(graph_presentation(g).relations)
-
-
 def _instances(n: int) -> list[tuple[NodeSet, int, int]]:
     """All (A, i, j) with i != j and both outside A, in a fixed order."""
     return [(a, i, j) for i, j in permutations(range(1, n + 1), 2)
@@ -254,7 +249,9 @@ def _u_form(n: int) -> tuple[tuple[Symbol, ...], tuple[Poly, ...]]:
     """The base algebra's u form: the sorted u alphabet and the rel_4 family
     in _instances order, priced before any instance is built, from one table
     of letters; (A,j,i), listed after (A,i,j), is its negation.  Q_n, Q_F and
-    the corollary check all read the family from here."""
+    the corollary check all read the family from here.  The (A,j,i) half
+    stays listed: Q_F hands the family to the engine, and perfbench's traced
+    anchor freezes qF P5's 73,346 degree-3 rows; it goes with Q_F over faces."""
     _check_rel_4_words(n)
     alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
     letter = {s.a.bits: s for s in alphabet}.__getitem__
@@ -266,16 +263,17 @@ def _u_form(n: int) -> tuple[tuple[Symbol, ...], tuple[Poly, ...]]:
 
 
 def qn_presentation(n: int, form: str) -> Presentation:
-    """The base algebra on n nodes, in z form (additive + multiplicative
-    relations) or u form (the rel_4 family).  Both forms are refused where
-    the rel_4 family is over the cap, so the base algebra has one size limit."""
+    """The base algebra on n nodes, in z form (the additive, then the
+    multiplicative relations, over the instances with i < j only) or u form
+    (the rel_4 family).  Both forms are refused where the rel_4 family is
+    over the cap, so the base algebra has one size limit."""
     if form not in ("z", "u"):
         raise ValueError(f"form must be 'z' or 'u', got {form!r}")
     if form == "u":
         return Presentation(f"Qn(n={n},form=u)", *_u_form(n))
     _check_rel_4_words(n)
     alphabet = tuple(sorted(all_z_symbols(n), key=symbol_key))
-    insts = _instances(n)
+    insts = [(a, i, j) for a, i, j in _instances(n) if i < j]
     relations = [rel_additive(*x) for x in insts] + [rel_multiplicative(*x) for x in insts]
     return Presentation(f"Qn(n={n},form=z)", alphabet, tuple(relations))
 
@@ -292,17 +290,21 @@ def qF_presentation(c: Complex) -> Presentation:
 def graph_presentation(g: Graph) -> Presentation:
     """The vertex-and-edge presentation of the quotient attached to a graph,
     read off one table of those letters.  Its relations, in this order: (i)
-    R(empty,i,j), i < j; (ii) R({k},i,j) - R(empty,i,j) over distinct
-    (i,j,k); (iii) the commutators [u(ij),u(kl)] of disjoint edges.  Zero
-    instances are dropped; duplicates and negatives stay listed."""
+    R(empty,i,j), i < j; (ii) R({k},i,j) - R(empty,i,j), i < j and k outside
+    {i,j}; (iii) the commutators [u(ij),u(kl)] of disjoint edges.  Zeros are
+    dropped, and so is any relation equal to an earlier one or its negation."""
     n, letters = g.n, _vertex_edge_letters(g.n, range(1, g.n + 1), g.edges)
     alphabet = tuple(sorted(letters.values(), key=symbol_key))
     nodes = range(1, n + 1)
-    pair = {(i, j): _truncated((), i, j, letters, n) for i, j in permutations(nodes, 2)}
-    out = [pair[i, j] for i, j in combinations(nodes, 2)]
-    out += [_truncated((k,), i, j, letters, n) - pair[i, j]
-            for i, j, k in permutations(nodes, 3)]
+    pair = {(i, j): _truncated((), i, j, letters, n) for i, j in combinations(nodes, 2)}
+    out = list(pair.values()) + [_truncated((k,), *ij, letters, n) - r
+                                 for ij, r in pair.items() for k in nodes if k not in ij]
     edges = [s for s in alphabet if s.a.size == 2]
     out += [commutator(Poly.from_symbol(e), Poly.from_symbol(f))
             for e, f in combinations(edges, 2) if not e.a.bits & f.a.bits]
-    return Presentation(f"QGraph(n={n},edges={g})", alphabet, tuple(r for r in out if r))
+    relations, seen = [], set()
+    for r in out:
+        if r and r not in seen:
+            seen.update((r, -r))
+            relations.append(r)
+    return Presentation(f"QGraph(n={n},edges={g})", alphabet, tuple(relations))

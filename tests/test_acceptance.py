@@ -37,7 +37,6 @@ from ncomplex.presentations import (
     qF_presentation,
     qn_presentation,
     rel_10,
-    theorem_relations,
     u_in_z,
     z_in_u,
 )
@@ -164,7 +163,7 @@ def test_criterion_7_proposition():
 def test_criterion_8_theorem_relations():
     for name, g in GRAPH_FAMILY:
         basis = TruncatedIdealBasis(qF_presentation(g.as_complex()), 2)
-        rels = theorem_relations(g)
+        rels = graph_presentation(g).relations
         assert rels, name
         for r in rels:
             assert basis.contains(r), (name, poly_text(r))

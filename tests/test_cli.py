@@ -150,7 +150,14 @@ class TestRelationsCommand:
         code, out, _ = run(capsys, ["relations", "--family", "theorem",
                                     "--complex", path3])
         assert code == 0
-        assert len(out.rstrip("\n").split("\n")) == 9
+        assert len(out.rstrip("\n").split("\n")) == 6
+
+    def test_family_theorem_without_relations_prints_nothing(self, capsys, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text('{"n": 1, "facets": []}')
+        code, out, err = run(capsys, ["relations", "--family", "theorem",
+                                      "--complex", str(point)])
+        assert (code, out, err) == (0, "", "")
 
     @pytest.mark.parametrize("argv,log2_words", [
         (["--family", "4", "--n", "11", "--A", "3,4,5,6,7,8,9,10,11"], 20),
@@ -263,11 +270,7 @@ class TestGoldenOutput:
             "u({1})*u({2,3}) + u({1,2})*u({2,3}) - u({2,3})*u({1})\n"
             "u({1})*u({2,3}) - u({3})*u({1,2}) + u({1,2})*u({3})"
             " + u({1,2})*u({2,3}) - u({2,3})*u({1}) - u({2,3})*u({1,2})\n"
-            "-u({1})*u({2,3}) - u({1,2})*u({2,3}) + u({2,3})*u({1})\n"
-            "-u({3})*u({1,2}) + u({1,2})*u({3}) - u({2,3})*u({1,2})\n"
-            "-u({1})*u({2,3}) + u({3})*u({1,2}) - u({1,2})*u({3})"
-            " - u({1,2})*u({2,3}) + u({2,3})*u({1}) + u({2,3})*u({1,2})\n"
-            "u({3})*u({1,2}) - u({1,2})*u({3}) + u({2,3})*u({1,2})\n")
+            "-u({3})*u({1,2}) + u({1,2})*u({3}) - u({2,3})*u({1,2})\n")
 
 
 class TestHilbertCommand:
@@ -516,6 +519,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "no checks selected" in err
 
+    def test_repeated_check_runs_once(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--n", "2", "--checks", "corollary,corollary"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2
+        assert lines[0].startswith("PASS corollary n=2 (")
+        assert lines[1] == "overall PASS (1/1 checks passed)"
+
     def test_json_determinism_modulo_millis(self, capsys):
         argv = ["verify", "--n", "2", "--checks", "corollary", "--format", "json"]
         _, out1, _ = run(capsys, argv)
@@ -589,6 +599,6 @@ def test_readme_examples_print_what_readme_shows(capsys, monkeypatch, tmp_path,
     monkeypatch.chdir(tmp_path)
     examples = readme_examples()
     assert [argv[0] for argv, _ in examples] == ["relations", "relations", "hilbert",
-                                                "membership"]
+                                                "hilbert", "membership"]
     for argv, shown in examples:
         assert run(capsys, argv) == (0, shown, ""), argv

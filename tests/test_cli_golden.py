@@ -30,6 +30,7 @@ COMPLEXES = {
     "k4_123": (4, [[1, 2, 3], [1, 4], [2, 4], [3, 4]]),
     "tetra": (4, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]),
     "edgeless3": (3, []),
+    "point": (1, []),
     "simplex2": (3, [[1, 2, 3]]),
 }
 
@@ -46,6 +47,7 @@ COMMANDS = (
        "hilbert --complex @p5 --max-degree 4",
        "hilbert --complex @c4 --max-degree 4 --presentation graph",
        "hilbert --complex @p4 --max-degree 3 --presentation graph",
+       "hilbert --complex @p3 --max-degree 3 --presentation graph",
        "membership --complex @p3 --poly 'u({1,3})' --max-degree 2",
        "membership --complex @p3 --poly "
        "'1/2*u({1})*u({3})-2/3*u({3})*u({1,2})+3*u({2})*u({2})' --max-degree 2",
@@ -72,12 +74,14 @@ COMMANDS = (
        "relations --family theorem --complex @c4",
        "relations --family theorem --complex @p5",
        "relations --family theorem --complex @paw",
+       "relations --family theorem --complex @point",
        "verify --n 1",
        "verify --n 3",
        "verify --n 4 --format json",
        "verify --n 17",
        "verify --n 2 --checks ','",
        "verify --n 2 --checks ''",
+       "verify --n 2 --checks corollary,corollary",
        "verify --complex @edgeless3",
        "verify --complex @simplex2",
        "verify --complex @simplex2 --checks theorem"]

@@ -187,6 +187,15 @@ class TestTheorem:
         assert r.witness["identity11_instances"] == 0  # no room for A nonempty
         assert r.witness["induction_instances"] == 2   # (i,j) and (j,i), A empty
 
+    @pytest.mark.parametrize("g,relations,rel12", [
+        (path_graph(3), 6, 3), (cycle_graph(4), 20, 12), (complete_graph(4), 21, 12)],
+        ids=["P3", "C4", "K4"])
+    def test_witness_counts_what_the_presentation_lists(self, g, relations, rel12):
+        # (ii) is listed over i < j and k outside {i,j}: C(n,2)(n-2) instances
+        r = check_theorem(g)
+        assert r.witness["relations"] == relations == len(graph_presentation(g).relations)
+        assert r.witness["rel12_instances"] == rel12
+
 
 class TestDegreeTwoDecides:
     """proposition and theorem test degree-2 elements only, which the degree-2
@@ -276,6 +285,12 @@ class TestRunAll:
     def test_single_check(self):
         report = run_all(VerifyConfig(checks=("corollary",), ns=(2,)))
         assert report.overall and len(report.entries) == 1
+
+    def test_repeated_check_runs_once(self):
+        # the first listing of each name sets the order
+        report = run_all(VerifyConfig(checks=("corollary", "basis_lemma", "corollary"),
+                                      ns=(2,)))
+        assert [e.check for e in report.entries] == ["corollary", "basis_lemma"]
 
     def test_checks_are_looked_up_when_run(self, monkeypatch):
         # a check rebound on the module after import is the one run_all calls
