@@ -12,6 +12,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 UNIVERSE_CAP = 16
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _vertex_text(v: object) -> str:
@@ -56,7 +57,7 @@ class NodeSet:
 
     @property
     def size(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     @property
     def is_empty(self) -> bool:
@@ -90,7 +91,8 @@ class NodeSet:
         """The canonical order as one int: size, then elements.  Of two sets of
         one size, A comes first exactly when the smallest vertex in only one of
         them lies in A: when A's mask read with vertex 1 atop 16 bits is larger."""
-        return self.size << 16 | (0xFFFF - int(f"{self.bits:016b}"[::-1], 2))
+        rev = _REVERSED_BYTE[self.bits & 0xFF] << 8 | _REVERSED_BYTE[self.bits >> 8]
+        return self.size << 16 | (0xFFFF - rev)
 
     def subsets(self) -> list["NodeSet"]:
         """All subsets of this set (including empty and itself), in canonical order."""

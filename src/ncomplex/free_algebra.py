@@ -4,7 +4,8 @@ Generators come in two families over a universe {1..n}: z(A,i) with i not in
 A, and u(A) with A nonempty.  u of the empty set is the algebra unit and is
 represented by the empty word, never by a symbol.  Every generator has degree
 1, so the relation families built on top of this module are homogeneous and
-the quotient algebras are graded.
+the quotient algebras are graded.  A Symbol is the int that orders it
+canonically, so the words of every polynomial hash and compare in C.
 
 Coefficients are exact rationals: int where integral, else Fraction (``exact``);
 polynomials are canonical term maps, so equality is literal equality of the maps.
@@ -12,7 +13,6 @@ polynomials are canonical term maps, so equality is literal equality of the maps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
@@ -37,48 +37,47 @@ def exact(c: Rational) -> Rational:
         return c
     if c.__class__ is Fraction:  # its slots: the public properties are Python calls
         return c._numerator if c._denominator == 1 else c
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, (int, Fraction)) and not isinstance(c, Symbol):
         return exact(Fraction(c))
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Symbol:
+class Symbol(int):
     """A degree-1 generator: kind 'z' carries (A, i) with i not in A, kind 'u'
-    carries a nonempty A."""
+    carries a nonempty A.  It is the int it hashes, compares and orders as:
+    kind, |A| (5 bits), A's elements (16), i (5), n (5).  ``kind``, ``a``
+    and ``i`` are read-only."""
 
-    kind: str
-    a: NodeSet
-    i: int | None = None
-    # one int, equal exactly when the symbols are, that is the hash and the
-    # canonical order: kind, |A| (5 bits), A's elements (16), i (5), n (5)
-    _key: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.kind == "z":
-            if self.i is None:
+    def __new__(cls, kind: str, a: NodeSet, i: int | None = None) -> "Symbol":
+        if kind == "z":
+            if i is None:
                 raise ValueError("z generator needs an index i")
-            if not 1 <= self.i <= self.a.n:
-                raise ValueError(f"index {self.i} outside 1..{self.a.n}")
-            if self.i in self.a:
-                raise ValueError(f"z({self.a},{self.i}) requires {self.i} not in {self.a}")
-        elif self.kind == "u":
-            if self.i is not None:
+            if not 1 <= i <= a.n:
+                raise ValueError(f"index {i} outside 1..{a.n}")
+            if i in a:
+                raise ValueError(f"z({a},{i}) requires {i} not in {a}")
+        elif kind == "u":
+            if i is not None:
                 raise ValueError("u generator takes no index")
-            if self.a.is_empty:
+            if a.is_empty:
                 raise ValueError("u({}) is the unit, not a generator")
         else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        key = (self.kind == "u") << 21 | self.a.sort_key()
-        object.__setattr__(self, "_key", (key << 5 | (self.i or 0)) << 5 | self.a.n)
+            raise ValueError(f"unknown generator kind {kind!r}")
+        self = super().__new__(cls, (((kind == "u") << 21 | a.sort_key()) << 5
+                                     | (i or 0)) << 5 | a.n)
+        self.__dict__.update(kind=kind, a=a, i=i)
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Symbol:
-            return NotImplemented
-        return self._key == other._key
+    def __getnewargs__(self) -> tuple:
+        return self.kind, self.a, self.i
 
-    def __hash__(self) -> int:
-        return self._key
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Symbol field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Symbol(kind={self.kind!r}, a={self.a!r}, i={self.i!r})"
 
     @property
     def n(self) -> int:
@@ -101,13 +100,13 @@ def u(a: NodeSet) -> Symbol:
 def symbol_key(s: Symbol) -> int:
     """Canonical total order: all z before all u, then by (|A|, elements, i)
     (then n, which only tells apart symbols of different universes)."""
-    return s._key
+    return int(s)
 
 
 def reversed_symbol_key(s: Symbol) -> int:
     """An alternative total order (the canonical one reversed); results of the
     quotient engine must not depend on which order is used."""
-    return -s._key
+    return -s
 
 
 #: a word in the generators; the empty tuple is the unit monomial
@@ -116,7 +115,7 @@ Word = tuple[Symbol, ...]
 
 def word_key(w: Word) -> tuple:
     """Degree-first, then lexicographic by the symbol order."""
-    return (len(w), tuple(map(symbol_key, w)))
+    return (len(w), w)
 
 
 class Poly:

@@ -24,6 +24,9 @@ largest column, and the pivots stay distinct.  Only the products g * m2 are
 then reduced, and one that is a right shift r * y of a row r found dependent
 at the degree below is skipped, as it depends on the rows before it too.
 
+Reduction pushes only pivot columns onto its heap.  Every row's other
+entries lie below its pivot, so the columns pop in descending order, a
+popped column never reappears, and an entry off the pivots is left as it is.
 Normal forms are canonical: a reduced remainder is supported only on
 non-pivot columns, and the projection along the row space onto those
 coordinates does not depend on how the triangular basis was built.  The
@@ -63,24 +66,24 @@ class Echelon:
 
     def reduce(self, vec: Vector) -> Vector:
         """Normal form of vec modulo the stored row space (vec is not
-        mutated).  Returns a vector supported off the pivot columns."""
+        mutated), supported off the pivot columns.  Only pivot columns enter
+        the heap: a row's other entries lie below its pivot, so columns pop
+        in descending order and a popped column never reappears."""
+        pivots = self.pivots
         v = dict(vec)
-        heap = [-c for c in v]
+        heap = [-c for c in v if c in pivots]
         heapq.heapify(heap)
         while heap:
             col = -heapq.heappop(heap)
-            if col not in v:
+            coef = v.pop(col, None)
+            if coef is None:  # cancelled, or pushed again once refilled
                 continue
-            row = self.pivots.get(col)
-            if row is None:
-                continue
-            coef = v.pop(col)
-            for c2, x in row.items():
+            for c2, x in pivots[col].items():
                 if c2 == col:
                     continue
                 acc = v.get(c2, 0) - coef * x
                 if acc:
-                    if c2 not in v:
+                    if c2 not in v and c2 in pivots:
                         heapq.heappush(heap, -c2)
                     v[c2] = acc
                 else:
@@ -94,9 +97,15 @@ class Echelon:
         if not r:
             return False
         lead = max(r)
-        # a pivot of +-1 is its own inverse; 1 / int would give a float
-        inv = r[lead] if r[lead] in (1, -1) else 1 / Fraction(r[lead])
-        self.pivots[lead] = {c: exact(x * inv) for c, x in r.items()}
+        p = r[lead]
+        if p == 1:  # the remainder is the row, its integral Fractions made int
+            for c, x in r.items():
+                if x.__class__ is not int:
+                    r[c] = exact(x)
+        else:  # -1 is its own inverse; 1 / int would give a float
+            inv = -1 if p == -1 else 1 / Fraction(p)
+            r = {c: exact(x * inv) for c, x in r.items()}
+        self.pivots[lead] = r
         return True
 
 

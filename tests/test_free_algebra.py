@@ -1,5 +1,7 @@
 """Tests for the free-algebra layer: arithmetic, canonical form, text form."""
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +16,7 @@ from ncomplex.free_algebra import (
     _check_word_count,
     commutator,
     enumerate_monomials,
+    exact,
     poly_text,
     reversed_symbol_key,
     substitute,
@@ -108,6 +111,48 @@ class TestSymbolIdentity:
         assert sorted(syms, key=symbol_key) == sorted(syms, key=old_symbol_key)
         assert (sorted(syms, key=reversed_symbol_key)
                 == sorted(syms, key=old_reversed_symbol_key))
+
+
+class TestSymbolContract:
+    """A Symbol is its canonical int key, and nothing else about it changes:
+    its fields are read-only, copies and pickles are equal Symbols, and it is
+    never taken for a coefficient."""
+
+    SYMS = [z(NodeSet.of((1, 3), 4), 2), u(NodeSet.of((2,), 3)), u(NodeSet.full(16)),
+            z(NodeSet.of((), 1), 1)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hash_is_the_key(self, n):
+        for s in all_z_symbols(n) + all_u_symbols(n):
+            assert hash(s) == symbol_key(s) == -reversed_symbol_key(s)
+
+    @pytest.mark.parametrize("field", ["kind", "a", "i"])
+    def test_fields_are_read_only(self, field):
+        s = z(NodeSet.of((1,), 3), 2)
+        with pytest.raises(AttributeError):
+            setattr(s, field, u(NodeSet.of((1,), 3)).a)
+        with pytest.raises(AttributeError):
+            delattr(s, field)
+        assert (s.kind, s.a, s.i) == ("z", NodeSet.of((1,), 3), 2)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        *(lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    def test_copies_are_equal_symbols(self, clone):
+        for s in self.SYMS:
+            t = clone(s)
+            assert type(t) is type(s) and t == s and hash(t) == hash(s)
+            assert (t.kind, t.a, t.i, str(t), repr(t)) == (s.kind, s.a, s.i, str(s), repr(s))
+
+    def test_refused_as_a_coefficient(self):
+        s = u(NodeSet.of((1,), 3))
+        p = us(1) + us(2)
+        for make in (lambda: exact(s), lambda: Poly({(s,): s}), lambda: Poly.term(s, (s,)),
+                     lambda: p.scale(s), lambda: p * s, lambda: s * p):
+            with pytest.raises(TypeError):
+                make()
 
 
 class TestArithmetic:

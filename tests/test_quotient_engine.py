@@ -17,6 +17,7 @@ slice must hold the letter shifts of the rows stored at the degree below.
 """
 
 import hashlib
+import heapq
 import random
 import time
 from fractions import Fraction
@@ -39,6 +40,7 @@ from ncomplex.free_algebra import (
     Poly,
     commutator,
     enumerate_monomials,
+    exact,
     poly_text,
     reversed_symbol_key,
     symbol_key,
@@ -157,6 +159,73 @@ def dense_member(pres, q):
 
 
 # ---------------------------------------------------------------------------
+# reference kernel
+# ---------------------------------------------------------------------------
+
+def reference_reduce(pivots, vec):
+    """``Echelon.reduce`` as first written, over a dict of pivot rows: every
+    column of the vector enters the heap, and a popped column that is not a
+    pivot is skipped.  vec is not mutated."""
+    v = dict(vec)
+    heap = [-c for c in v]
+    heapq.heapify(heap)
+    while heap:
+        col = -heapq.heappop(heap)
+        if col not in v:
+            continue
+        row = pivots.get(col)
+        if row is None:
+            continue
+        coef = v.pop(col)
+        for c2, x in row.items():
+            if c2 == col:
+                continue
+            acc = v.get(c2, 0) - coef * x
+            if acc:
+                if c2 not in v:
+                    heapq.heappush(heap, -c2)
+                v[c2] = acc
+            else:
+                v.pop(c2, None)
+    return v
+
+
+def reference_insert(pivots, vec):
+    """``Echelon.insert`` as first written, through ``reference_reduce``:
+    the remainder is scaled so its pivot entry is 1, each entry ``exact``."""
+    r = reference_reduce(pivots, vec)
+    if not r:
+        return False
+    lead = max(r)
+    inv = r[lead] if r[lead] in (1, -1) else 1 / Fraction(r[lead])
+    pivots[lead] = {c: exact(x * inv) for c, x in r.items()}
+    return True
+
+
+def typed(vec, base=0):
+    """vec, its columns moved up by base, with each entry paired with its
+    type: int 2 and Fraction(2) differ."""
+    return {base + c: (type(x), x) for c, x in vec.items()}
+
+
+def assert_kernel_matches_reference(inserted, queries):
+    """Insert ``inserted`` into an Echelon and into a reference store: the
+    stored rows are equal, entry types included.  Each query then reduces
+    to the reference's remainder, types included, and is left unmutated."""
+    ech, pivots = Echelon(), {}
+    for vec in inserted:
+        before = typed(vec)
+        assert ech.insert(vec) == reference_insert(pivots, vec)
+        assert typed(vec) == before
+    assert {p: typed(r) for p, r in ech.pivots.items()} == \
+        {p: typed(r) for p, r in pivots.items()}
+    for vec in queries:
+        before = typed(vec)
+        assert typed(ech.reduce(vec)) == typed(reference_reduce(pivots, vec))
+        assert typed(vec) == before
+
+
+# ---------------------------------------------------------------------------
 # reduce-every-product oracle
 # ---------------------------------------------------------------------------
 
@@ -210,8 +279,6 @@ def assert_shifts_stored(basis):
     """For each e >= 1, x * r is a stored row of slice e, entry for entry and
     type for type, for every letter x of the engine and stored row r of slice
     e-1."""
-    def typed(row, base=0):
-        return {base + c: (type(x), x) for c, x in row.items()}
     for e in range(1, basis.max_degree + 1):
         step = basis.k ** (e - 1)
         stored = basis.slices[e].pivots
@@ -474,25 +541,47 @@ class TestEngineProperties:
         assert len(calls) == sum(expected)
         assert rows_reduced_bounded(basis)
 
-    @pytest.mark.parametrize("pres,expected,remainder", [
-        (qn_presentation(3, "u"),
+    @pytest.mark.parametrize("pres,d,fractions,expected,remainder", [
+        (qn_presentation(3, "u"), 4, 0,
          "c0c84ca4205ffc09606c546d6ea3f1c1911575b352f7ca922884cdfed152e522",
          [Fraction(1, 2), 3]),
-        (graph_presentation(cycle_graph(4)),
+        (graph_presentation(cycle_graph(4)), 4, 0,
          "6a4fe6ca547727ca626b092073dfb38748cc31b677d5feb8c6991926eeaeef3e",
          [-3, -3, -3, 3, 3, 3, 3, 3, Fraction(7, 2), Fraction(7, 2)]),
-    ], ids=["Q3-u", "graph-C4"])
-    def test_stored_rows_frozen(self, pres, expected, remainder):
+        # the membership benchmark's complex: K4 with {1,2,3} filled in
+        (qF_presentation(closure([[1, 2, 3]] + [[i, j] for i in range(1, 5)
+                                                for j in range(i + 1, 5)], 4)), 3, 349,
+         "487b856791965217c94d698a5d6505ed80c12222f2012069c921ee5bc5060d57",
+         [Fraction(1, 2), 3]),
+    ], ids=["Q3-u", "graph-C4", "qF-K4+123"])
+    def test_stored_rows_frozen(self, pres, d, fractions, expected, remainder):
         # the digests freeze the rows stored when each slice copies the
-        # letter shifts of the degree below; the remainder's values are
-        # those of the all-Fraction Poly, each an int where integral
-        basis = TruncatedIdealBasis(pres, 4)
-        assert all(type(x) is int for x in stored_entries(basis.slices))
+        # letter shifts of the degree below, and how many entries are
+        # Fractions (the others are ints); the remainder's values are those
+        # of the all-Fraction Poly, each an int where integral
+        basis = TruncatedIdealBasis(pres, d)
+        entries = stored_entries(basis.slices)
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                   for x in entries)
+        assert sum(type(x) is Fraction for x in entries) == fractions
         assert row_digest(basis) == expected
-        x, y = pres.alphabet[0], pres.alphabet[-1]
-        rem = basis.reduce(Poly({(x, y, x, y): Fraction(1, 2), (y, y, x, x): 3}))
+        live = [s for s in pres.alphabet if s in basis.letters]
+        x, y = live[0], live[-1]
+        rem = basis.reduce(Poly({(x, y, x, y)[:d]: Fraction(1, 2), (y, y, x, x)[:d]: 3}))
         assert sorted(rem.terms.values()) == remainder
         assert_canonical(rem)
+
+    def test_cancelled_columns_refilled(self):
+        # the row at 5 cancels the query's pivot column 3 and its non-pivot
+        # column 1; the row at 4 fills both again, and column 3 is then
+        # eliminated by its own row
+        inserted = [{5: 1, 3: 1, 1: 1}, {4: 1, 3: -1, 1: 2}, {3: 1, 0: Fraction(1, 2)}]
+        query = {5: 1, 4: 1, 3: 1, 1: 1}
+        assert_kernel_matches_reference(inserted, [query])
+        ech = Echelon()
+        for vec in inserted:
+            ech.insert(vec)
+        assert typed(ech.reduce(query)) == typed({1: -2, 0: Fraction(-1, 2)})
 
     def test_additive_echelon_stores_ints(self):
         # vectors of integral Fractions inserted straight into an Echelon

@@ -6,7 +6,11 @@ stored at the degree below and inserts only the products g * m2, of every
 other relation, degree 1 included, that are not right shifts of dependent
 rows, must have the same ranks, lifted pivot words and remainders, its
 letters must be the alphabet less the killed ones, and each slice must hold
-those letter shifts."""
+those letter shifts.
+
+The elimination kernel itself, ``Echelon.insert`` and ``Echelon.reduce``, is
+checked on random triangular stores against ``reference_reduce``, the
+kernel as first written, which heaps every column of the vector."""
 
 import pytest
 
@@ -18,7 +22,11 @@ from ncomplex.free_algebra import Poly, reversed_symbol_key, symbol_key, z  # no
 from ncomplex.presentations import Presentation, all_u_symbols  # noqa: E402
 from ncomplex.quotient_engine import TruncatedIdealBasis  # noqa: E402
 from test_free_algebra import assert_canonical  # noqa: E402
-from test_quotient_engine import assert_same_construction  # noqa: E402
+from test_quotient_engine import (  # noqa: E402
+    assert_kernel_matches_reference,
+    assert_same_construction,
+    reference_insert,
+)
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 keys = st.sampled_from([symbol_key, reversed_symbol_key])
@@ -120,3 +128,46 @@ def test_contains_is_reduce_to_zero(case, key, data):
     stray = Poly.from_symbol(z(NodeSet.of((), 3), 1))
     for bad in (over, x + x * x, stray):
         assert raised(basis.contains, bad) == raised(basis.reduce, bad)
+
+
+entries = st.one_of(st.integers(-3, 3), coefficients).filter(bool)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Up to 12 vectors over 1-10 columns, int and Fraction entries (some
+    Fractions integral), inserted in turn; about half of them, and every
+    query, are combinations of earlier vectors or stored rows plus a few
+    further entries, so columns cancel and fill again as the rows are
+    subtracted.  Queries cover columns on and off the pivots."""
+    width = draw(st.integers(1, 10))
+    vectors = st.dictionaries(st.integers(0, width - 1), entries, max_size=width)
+
+    def combination(pool):
+        out = dict(draw(vectors))
+        for vec in draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else ():
+            c = draw(entries)
+            for col, x in vec.items():
+                acc = out.get(col, 0) + c * x
+                if acc:
+                    out[col] = acc
+                else:
+                    out.pop(col, None)
+        return out
+
+    inserted, pivots = [], {}
+    for _ in range(draw(st.integers(0, 12))):
+        vec = combination(inserted) if draw(st.booleans()) else draw(vectors)
+        if vec:
+            inserted.append(vec)
+            reference_insert(pivots, vec)
+    rows = list(pivots.values())
+    queries = [combination(rows) for _ in range(draw(st.integers(1, 6)))]
+    return inserted, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_the_reference(case):
+    inserted, queries = case
+    assert_kernel_matches_reference(inserted, queries)
