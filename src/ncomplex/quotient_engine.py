@@ -21,8 +21,11 @@ like any other.
 Each slice first stores x * r for every letter x and stored row r of the
 degree below, without reducing them: a shift keeps each pivot its row's
 largest column, and the pivots stay distinct.  Only the products g * m2 are
-then reduced, and one that is a right shift r * y of a row r found dependent
-at the degree below is skipped, as it depends on the rows before it too.
+then reduced, and one is skipped as dependent when it is a right shift
+r * y of a row r found dependent at the degree below, as it depends on the
+rows before it too, or when m2 is the pivot (tip) of a row h of slice
+e - deg g: g * m2 = g * h - sum over w < m2 of h_w * g * w, g * h lies in
+V * I_(e-1), which the copied shifts span, and each g * w came earlier.
 
 Reduction pushes only pivot columns onto its heap.  Every row's other
 entries lie below its pivot, so the columns pop in descending order, a
@@ -124,7 +127,9 @@ class SliceStats:
     size of its spanning set, the sum over relations g of
     (e - deg g + 1) * k^(e - deg g) with k the given alphabet's size;
     ``rows_reduced`` counts the rows actually passed to ``Echelon.insert``:
-    the products g * m2 that are not right shifts of dependent rows, for
+    the products g * m2 that are not right shifts of dependent rows, nor
+    have m2 the pivot of a row h of slice e - deg g (g * m2 = g * h - sum
+    over w < m2 of h_w * g * w, g * h copied and each g * w earlier), for
     every relation but the kills, read over the letters they leave; the
     letter shifts of the degree below's rows are copied, not inserted;
     ``rank`` is the rank of the full ideal's slice, k^e minus the
@@ -199,7 +204,10 @@ class TruncatedIdealBasis:
         rows inserted, and per relation the dependent flags of its rows
         g * m2, by m2; ``parents`` holds the flags of degree e-1.  A skipped
         g * m2' * y lies in V * I_(e-2) * y, inside the copied rows, plus
-        the right shifts of the rows before g * m2', which come before it."""
+        the right shifts of the rows before g * m2', which come before it.
+        A g * m2 with m2 the pivot of a row h of slice e - deg g is skipped:
+        g * m2 = g * h - sum over w < m2 of h_w * g * w, g * h lies in the
+        copied rows, and each g * w came earlier in this loop."""
         ech = Echelon()
         k = self.k
         if e:
@@ -217,9 +225,10 @@ class TruncatedIdealBasis:
             # its parent g * m2' with m2 = m2' * y has index m2 div k
             shifted = [(col * n, c) for col, c in coords]
             parent = parents[t] if t < len(parents) else b"\0"  # deg g = e: no parent
+            tips = self.slices[e - e0].pivots  # e0 >= 1: a slice already built
             flags = bytearray(n)
             for m2 in range(n):
-                if not parent[m2 // k]:
+                if not parent[m2 // k] and m2 not in tips:
                     reduced += 1
                     if ech.insert({m2 + col: c for col, c in shifted}):
                         continue

@@ -10,10 +10,16 @@ A second oracle, ``reduce_every_product``, is the slice construction that
 passes every spanning product through ``Echelon.insert`` over the alphabet as
 given.  The engine drops the letters that single-word degree-1 relations
 kill, copies the rows of the degree below shifted by a letter, and inserts
-only the products g * m2, of every other relation, that are not right shifts
-of dependent rows; it must have the same ranks, the same pivot words once its
-own are lifted back to the given alphabet, and the same remainders, and each
-slice must hold the letter shifts of the rows stored at the degree below.
+only the products g * m2, of every other relation, that are neither right
+shifts of dependent rows nor products whose m2 is a pivot column (a tip) of
+the slice e - deg g; it must have the same ranks, the same pivot words once
+its own are lifted back to the given alphabet, and the same remainders, and
+each slice must hold the letter shifts of the rows stored at the degree
+below.
+
+A third oracle, ``RightShiftOnly``, is the engine without the tip rule.  A
+skipped product is dependent, so the engine must store exactly its rows,
+entry for entry and type for type, with the same dims and remainders.
 """
 
 import hashlib
@@ -33,6 +39,7 @@ from ncomplex.complexes import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
+    enumerate_complexes,
     path_graph,
     star_graph,
 )
@@ -64,6 +71,7 @@ from ncomplex.quotient_engine import (
     graded_dimension,
 )
 from test_free_algebra import assert_canonical
+from test_presentations import all_graphs
 
 
 def ns(*elems, n=3):
@@ -85,6 +93,10 @@ def mixed_presentation():
             4 * c * a - 6 * b * c,
             2 * c * c - 4 * a * b)
     return Presentation("mixed(n=2)", alphabet, rels)
+
+
+#: the membership benchmark's complex: K4 with {1,2,3} filled in
+K4_123 = closure([[1, 2, 3]] + [[i, j] for i in range(1, 5) for j in range(i + 1, 5)], 4)
 
 
 def stored_entries(echelons):
@@ -397,6 +409,82 @@ class TestAgainstReduceEveryProduct:
         assert_same_construction(pres, d, key)
 
 
+# ---------------------------------------------------------------------------
+# right-shift-only oracle
+# ---------------------------------------------------------------------------
+
+class RightShiftOnly(TruncatedIdealBasis):
+    """The engine before its tip rule: ``_build_slice`` skips only the right
+    shifts of rows found dependent at the degree below, so it also reduces
+    every product g * m2 whose m2 is a pivot column of slice e - deg g."""
+
+    def _build_slice(self, e, parents):
+        ech = Echelon()
+        k = self.k
+        if e:
+            step = k ** (e - 1)
+            for piv, row in self.slices[e - 1].pivots.items():
+                for base in range(0, k * step, step):
+                    ech.pivots[base + piv] = {base + c: x for c, x in row.items()}
+        reduced = 0
+        dependent = []
+        for t, (e0, coords) in enumerate(self._relations):
+            if e0 > e:
+                break
+            n = k ** (e - e0)
+            shifted = [(col * n, c) for col, c in coords]
+            parent = parents[t] if t < len(parents) else b"\0"
+            flags = bytearray(n)
+            for m2 in range(n):
+                if not parent[m2 // k]:
+                    reduced += 1
+                    if ech.insert({m2 + col: c for col, c in shifted}):
+                        continue
+                flags[m2] = 1
+            dependent.append(flags)
+        return ech, reduced, dependent
+
+
+def assert_tip_rule_keeps_rows(pres, d, key):
+    """The engine against ``RightShiftOnly`` at every degree: equal stored
+    rows, entry for entry and type for type (so equal pivot sets), equal
+    dims, ranks and rows generated, equal remainders of up to 50 words and
+    of one query with many terms, and no more rows reduced."""
+    basis = TruncatedIdealBasis(pres, d, key=key)
+    oracle = RightShiftOnly(pres, d, key=key)
+    assert basis.dimensions() == oracle.dimensions()
+    assert [(s.rows_generated, s.rank) for s in basis.stats] == \
+        [(s.rows_generated, s.rank) for s in oracle.stats]
+    assert all(s.rows_reduced <= t.rows_reduced for s, t in zip(basis.stats, oracle.stats))
+    letters = sorted(pres.alphabet, key=key)
+    for e in range(d + 1):
+        rows, expected = basis.slices[e].pivots, oracle.slices[e].pivots
+        assert rows.keys() == expected.keys(), e
+        assert all(typed(rows[p]) == typed(row) for p, row in expected.items()), e
+        rng = random.Random(e)
+        words = [tuple(rng.choice(letters) for _ in range(e)) for _ in range(50)]
+        for w in words:
+            assert basis.reduce(Poly.term(1, w)) == oracle.reduce(Poly.term(1, w))
+        dense = Poly({w: Fraction(i % 5 - 2, i % 3 + 1) for i, w in enumerate(words)})
+        assert basis.reduce(dense) == oracle.reduce(dense)
+
+
+TIP_CASES = (
+    [(qF_presentation(c), 4) for n in (1, 2, 3) for c in enumerate_complexes(n)]
+    + [(graph_presentation(g), 4) for n in (1, 2, 3, 4) for g in all_graphs(n)]
+    + [(qn_presentation(2, "z"), 5), (qn_presentation(3, "z"), 3),
+       (mixed_presentation(), 4), (qF_presentation(K4_123), 4)])
+
+
+class TestAgainstRightShiftOnly:
+    @pytest.mark.parametrize("key", [symbol_key, reversed_symbol_key],
+                             ids=["symbol_key", "reversed_symbol_key"])
+    @pytest.mark.parametrize("pres,d", TIP_CASES,
+                             ids=[f"{p.label},d={d}" for p, d in TIP_CASES])
+    def test_same_rows(self, pres, d, key):
+        assert_tip_rule_keeps_rows(pres, d, key)
+
+
 class TestTrivialExamples:
     def test_edgeless_graph_degree_2_rank_one(self):
         basis = TruncatedIdealBasis(graph_presentation(edgeless_graph(2)), 2)
@@ -520,15 +608,21 @@ class TestEngineProperties:
 
     @pytest.mark.parametrize("pres,d,expected", [
         (qF_presentation(closure([[1, 2], [2, 3], [3, 4]], 4)), 3, [0, 0, 48, 91]),
-        (qn_presentation(3, "u"), 4, [0, 0, 12, 35, 238]),
-        (graph_presentation(cycle_graph(4)), 4, [0, 0, 20, 128, 960]),
-    ], ids=["qF-P4", "Q3-u", "graph-C4"])
+        (qn_presentation(3, "u"), 4, [0, 0, 12, 35, 213]),
+        (graph_presentation(cycle_graph(4)), 4, [0, 0, 20, 128, 715]),
+        (qn_presentation(2, "z"), 5, [0, 1, 4, 11, 29, 76]),
+        (graph_presentation(complete_graph(4)), 4, [0, 0, 21, 170, 1352]),
+    ], ids=["qF-P4", "Q3-u", "graph-C4", "Q2-z", "graph-K4"])
     def test_rows_reduced(self, pres, d, expected, monkeypatch):
         # rows passed to Echelon.insert: the products g * m2, over the 7
         # letters that qF-P4's 8 kill relations leave, that are not right
-        # shifts of rows found dependent at the degree below; the kills
-        # themselves are not inserted, and the letter shifts of the rows
-        # stored at the degree below are copied
+        # shifts of rows found dependent at the degree below, and whose m2
+        # is not a pivot of the slice e - deg g; the kills themselves are
+        # not inserted, and the letter shifts of the rows stored at the
+        # degree below are copied.  qF-P4 has no pivot at degree 1, so at
+        # d=3 the pivot rule skips nothing.  Q2-z has degree-1
+        # relations of four terms, so from degree 2 on it skips g * m2 with
+        # m2 a pivot of slice e - 1
         calls = []
         insert = Echelon.insert
 
@@ -548,9 +642,7 @@ class TestEngineProperties:
         (graph_presentation(cycle_graph(4)), 4, 0,
          "6a4fe6ca547727ca626b092073dfb38748cc31b677d5feb8c6991926eeaeef3e",
          [-3, -3, -3, 3, 3, 3, 3, 3, Fraction(7, 2), Fraction(7, 2)]),
-        # the membership benchmark's complex: K4 with {1,2,3} filled in
-        (qF_presentation(closure([[1, 2, 3]] + [[i, j] for i in range(1, 5)
-                                                for j in range(i + 1, 5)], 4)), 3, 349,
+        (qF_presentation(K4_123), 3, 349,
          "487b856791965217c94d698a5d6505ed80c12222f2012069c921ee5bc5060d57",
          [Fraction(1, 2), 3]),
     ], ids=["Q3-u", "graph-C4", "qF-K4+123"])

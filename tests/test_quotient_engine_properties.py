@@ -3,10 +3,13 @@ presentations, against the construction that reduces every spanning product
 over the alphabet as given: the engine, which drops the letters that
 single-word degree-1 relations kill, copies the letter shifts of the rows
 stored at the degree below and inserts only the products g * m2, of every
-other relation, degree 1 included, that are not right shifts of dependent
-rows, must have the same ranks, lifted pivot words and remainders, its
-letters must be the alphabet less the killed ones, and each slice must hold
-those letter shifts.
+other relation, degree 1 included, that are neither right shifts of
+dependent rows nor g * m2 with m2 a pivot of the slice e - deg g, must have
+the same ranks, lifted pivot words and remainders, its letters must be the
+alphabet less the killed ones, and each slice must hold those letter shifts.
+Against ``RightShiftOnly``, the engine without that pivot (tip) rule, it
+must store the same rows, entry for entry and type for type; the relations
+here have degrees 1-3, so the rule reads slices e - 1 to e - 3.
 
 The elimination kernel itself, ``Echelon.insert`` and ``Echelon.reduce``, is
 checked on random triangular stores against ``reference_reduce``, the
@@ -25,6 +28,7 @@ from test_free_algebra import assert_canonical  # noqa: E402
 from test_quotient_engine import (  # noqa: E402
     assert_kernel_matches_reference,
     assert_same_construction,
+    assert_tip_rule_keeps_rows,
     reference_insert,
 )
 
@@ -84,6 +88,13 @@ def test_same_rows_as_reducing_every_product(case, key):
 def test_elimination_agrees_with_reducing_every_product(case, key):
     pres, d = case
     assert_same_construction(pres, d, key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(presentations(), eliminating_presentations()), keys)
+def test_tip_rule_keeps_every_row(case, key):
+    pres, d = case
+    assert_tip_rule_keeps_rows(pres, d, key)
 
 
 def polys(draw, alphabet, degree):
