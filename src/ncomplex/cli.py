@@ -196,8 +196,11 @@ _HANDLERS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "max_degree", 0) < 0:
             raise ValueError("--max-degree must be >= 0")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 from .complexes import NodeSet
 
@@ -46,7 +46,7 @@ class Symbol(int):
     """A degree-1 generator: kind 'z' carries (A, i) with i not in A, kind 'u'
     carries a nonempty A.  It is the int it hashes, compares and orders as:
     kind, |A| (5 bits), A's elements (16), i (5), n (5).  ``kind``, ``a``
-    and ``i`` are read-only."""
+    and ``i`` are read-only, and arithmetic on it raises TypeError."""
 
     def __new__(cls, kind: str, a: NodeSet, i: int | None = None) -> "Symbol":
         if kind == "z":
@@ -88,6 +88,12 @@ class Symbol(int):
             return f"z({self.a},{self.i})"
         return f"u({self.a})"
 
+    def _not_a_number(self, *_: object) -> NoReturn:
+        raise TypeError(f"{self} is a generator, not a number; use Poly.from_symbol")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _not_a_number
+    __truediv__ = __rtruediv__ = __pow__ = __rpow__ = __neg__ = _not_a_number
+
 
 def z(a: NodeSet, i: int) -> Symbol:
     return Symbol("z", a, i)
@@ -106,7 +112,7 @@ def symbol_key(s: Symbol) -> int:
 def reversed_symbol_key(s: Symbol) -> int:
     """An alternative total order (the canonical one reversed); results of the
     quotient engine must not depend on which order is used."""
-    return -s
+    return -int(s)
 
 
 #: a word in the generators; the empty tuple is the unit monomial

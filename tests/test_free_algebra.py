@@ -115,8 +115,8 @@ class TestSymbolIdentity:
 
 class TestSymbolContract:
     """A Symbol is its canonical int key, and nothing else about it changes:
-    its fields are read-only, copies and pickles are equal Symbols, and it is
-    never taken for a coefficient."""
+    its fields are read-only, copies and pickles are equal Symbols, it is
+    never taken for a coefficient, and it refuses arithmetic."""
 
     SYMS = [z(NodeSet.of((1, 3), 4), 2), u(NodeSet.of((2,), 3)), u(NodeSet.full(16)),
             z(NodeSet.of((), 1), 1)]
@@ -145,6 +145,14 @@ class TestSymbolContract:
             t = clone(s)
             assert type(t) is type(s) and t == s and hash(t) == hash(s)
             assert (t.kind, t.a, t.i, str(t), repr(t)) == (s.kind, s.a, s.i, str(s), repr(s))
+
+    def test_refuses_arithmetic(self):
+        s, t = u(NodeSet.of((1,), 3)), u(NodeSet.of((2,), 3))
+        for make in (lambda: s * t, lambda: s + 1, lambda: 1 + s, lambda: s - 1,
+                     lambda: 1 - s, lambda: 2 * s, lambda: s * 2, lambda: s / 2,
+                     lambda: 2 / s, lambda: s ** 2, lambda: 2 ** s, lambda: -s):
+            with pytest.raises(TypeError, match=r"u\(\{1\}\) is a generator, not a number"):
+                make()
 
     def test_refused_as_a_coefficient(self):
         s = u(NodeSet.of((1,), 3))

@@ -723,8 +723,12 @@ class TestConstructionOracle:
     def test_qF_on_named_complexes(self, c):
         assert _shape(qF_presentation(c)) == _shape(_oracle_qF(c))
 
-    @pytest.mark.parametrize("n,instances", [(1, 0), (2, 2), (3, 12), (4, 48), (5, 160)])
-    def test_corollary_witness(self, n, instances):
+    # identity (11) has one instance per k in A: sum of |A| over (A,i,j),
+    # so none on two nodes, where A is empty
+    @pytest.mark.parametrize("n,instances,id11", [
+        (1, 0, 0), (2, 2, 0), (3, 12, 6), (4, 48, 48), (5, 160, 240)])
+    def test_corollary_witness(self, n, instances, id11):
         r = check_corollary(n)
         assert r.passed
-        assert r.witness == {"n": n, "instances": instances, "failures": []}
+        assert r.witness == {"n": n, "instances": instances,
+                             "identity11_instances": id11, "failures": []}

@@ -20,6 +20,7 @@ from ncomplex.free_algebra import Poly, u, z
 from ncomplex.presentations import (
     Presentation,
     graph_presentation,
+    identity_11_residual,
     qF_presentation,
     qn_presentation,
 )
@@ -93,6 +94,20 @@ class TestCorollary:
     def test_n_4(self):
         r = check_corollary(4)
         assert r.passed and r.witness["instances"] == 48
+
+    def test_identity_11_failure_is_named(self, monkeypatch):
+        # identity (11) names no graph: a fault in it fails the n-check alone
+        bad = (NodeSet.of((3,), 3), 1, 2, 3)
+
+        def residual(a, i, j, k):
+            if (a, i, j, k) == bad:
+                return Poly.from_symbol(u(a))
+            return identity_11_residual(a, i, j, k)
+        monkeypatch.setattr("ncomplex.verifier.identity_11_residual", residual)
+        r = check_corollary(3)
+        assert not r.passed
+        assert r.witness["failures"] == ["identity (11) fails at A={3},i=1,j=2,k=3"]
+        assert check_theorem(path_graph(3)).passed
 
 
 class TestCommutativeCase:
@@ -184,7 +199,7 @@ class TestTheorem:
     def test_witness_counts_k2(self):
         r = check_theorem(complete_graph(2))
         assert r.witness["relations"] == 1
-        assert r.witness["identity11_instances"] == 0  # no room for A nonempty
+        assert "identity11_instances" not in r.witness  # corollary checks it
         assert r.witness["induction_instances"] == 2   # (i,j) and (j,i), A empty
 
     @pytest.mark.parametrize("g,relations,rel12", [
@@ -298,6 +313,20 @@ class TestRunAll:
         monkeypatch.setattr("ncomplex.verifier.check_corollary", lambda n: fake)
         report = run_all(VerifyConfig(checks=("corollary",), ns=(2,)))
         assert report.entries == [fake]
+
+    @pytest.mark.parametrize("check,subject", [
+        (check_basis_lemma, 3), (check_eq3_welldefined, 3), (check_corollary, 3),
+        (check_commutative_case, 3), (check_proposition, path_graph(3).as_complex()),
+        (check_theorem, path_graph(3)), (check_presentation_equivalence, path_graph(3))])
+    def test_checks_are_pure(self, check, subject):
+        # a check reads no clock: called directly it leaves millis 0
+        first = check(subject)
+        assert first == check(subject) and first.passed and first.millis == 0
+
+    def test_run_all_times_every_entry(self):
+        report = run_all(VerifyConfig(ns=(3,), complexes=(path_graph(3).as_complex(),)))
+        assert len(report.entries) == len(CHECK_NAMES)
+        assert all(type(e.millis) is int and e.millis >= 0 for e in report.entries)
 
     def test_unknown_check(self):
         with pytest.raises(ValueError, match="unknown check"):
