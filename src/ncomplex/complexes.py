@@ -2,7 +2,9 @@
 
 A complex is a downward-closed family of nonempty subsets of {1..n} that
 always contains every singleton.  Sets are stored as bitmasks (bit k-1
-represents vertex k), which caps the universe at 16 vertices.
+represents vertex k), which caps the universe at 16 vertices.  NodeSet.of,
+full, plus, minus, | and subsets return one object per value: each set they
+are asked for is built and validated once, then held for the process.
 """
 
 from __future__ import annotations
@@ -20,11 +22,16 @@ def _vertex_text(v: object) -> str:
     return f"{v!r:.37}..." if len(repr(v)) > 40 else repr(v)
 
 
+def _require_int(name: str, v: object) -> None:
+    """Refuse a v that is not an int, or is a bool (True would pass as 1)."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{name} {_vertex_text(v)} is not an integer")
+
+
 def _mask_of(members: Iterable[int], n: int) -> int:
     mask = 0
     for v in members:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"vertex {_vertex_text(v)} is not an integer")
+        _require_int("vertex", v)
         if not 1 <= v <= n:
             raise ValueError(f"vertex {_vertex_text(v)} "
                              + (f"exceeds n={n}" if v > n else "is below 1"))
@@ -41,6 +48,8 @@ class NodeSet:
     bits: int
 
     def __post_init__(self) -> None:
+        _require_int("n", self.n)
+        _require_int("bitmask", self.bits)
         if not 1 <= self.n <= UNIVERSE_CAP:
             raise ValueError(f"n={self.n} outside 1..{UNIVERSE_CAP}")
         if not 0 <= self.bits < (1 << self.n):
@@ -48,12 +57,14 @@ class NodeSet:
 
     @classmethod
     def of(cls, members: Iterable[int], n: int) -> "NodeSet":
-        return cls(n, _mask_of(members, n))
+        _require_int("n", n)  # before the lookup, where True would find n=1
+        return _node_set(n, _mask_of(members, n))
 
     @classmethod
     def full(cls, n: int) -> "NodeSet":
+        _require_int("n", n)
         # an n out of range is left to __post_init__'s bound, not to the shift
-        return cls(n, (1 << min(max(n, 0), UNIVERSE_CAP)) - 1)
+        return _node_set(n, (1 << min(max(n, 0), UNIVERSE_CAP)) - 1)
 
     @property
     def size(self) -> int:
@@ -79,13 +90,13 @@ class NodeSet:
 
     def __or__(self, other: "NodeSet") -> "NodeSet":
         self._check_universe(other)
-        return NodeSet(self.n, self.bits | other.bits)
+        return _node_set(self.n, self.bits | other.bits)
 
     def plus(self, v: int) -> "NodeSet":
-        return NodeSet(self.n, self.bits | _mask_of((v,), self.n))
+        return _node_set(self.n, self.bits | _mask_of((v,), self.n))
 
     def minus(self, v: int) -> "NodeSet":
-        return NodeSet(self.n, self.bits & ~_mask_of((v,), self.n))
+        return _node_set(self.n, self.bits & ~_mask_of((v,), self.n))
 
     def sort_key(self) -> int:
         """The canonical order as one int: size, then elements.  Of two sets of
@@ -97,11 +108,25 @@ class NodeSet:
     def subsets(self) -> list["NodeSet"]:
         """All subsets of this set (including empty and itself), in canonical order."""
         bits = [1 << (v - 1) for v in self.elements]
-        return [NodeSet(self.n, sum(c))
+        return [_node_set(self.n, sum(c))
                 for k in range(len(bits) + 1) for c in combinations(bits, k)]
 
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in self.elements) + "}"
+
+
+#: the one NodeSet of each (n, bits) that a NodeSet method has returned; a
+#: value is only added once NodeSet has accepted it, and never removed
+_NODE_SETS: dict[tuple[int, int], NodeSet] = {}
+
+
+def _node_set(n: int, bits: int) -> NodeSet:
+    """The held NodeSet(n, bits), built and validated on its first request;
+    n and bits must be ints, not bools (True would find n=1's sets)."""
+    s = _NODE_SETS.get((n, bits))
+    if s is None:  # setdefault: two threads that both miss still get one object
+        s = _NODE_SETS.setdefault((n, bits), NodeSet(n, bits))
+    return s
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ A, and u(A) with A nonempty.  u of the empty set is the algebra unit and is
 represented by the empty word, never by a symbol.  Every generator has degree
 1, so the relation families built on top of this module are homogeneous and
 the quotient algebras are graded.  A Symbol is the int that orders it
-canonically, so the words of every polynomial hash and compare in C.
+canonically, so the words of every polynomial hash and compare in C.  u and
+z return one Symbol per letter: each letter they are asked for is built and
+validated once, then held for the process.
 
 Coefficients are exact rationals: int where integral, else Fraction (``exact``);
 polynomials are canonical term maps, so equality is literal equality of the maps.
@@ -17,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, NoReturn
 
-from .complexes import NodeSet
+from .complexes import NodeSet, _require_int
 
 #: refuse more words than this over degrees 0..d (guards |alphabet|**d blowups)
 MONOMIAL_CAP = 10**7
@@ -52,6 +54,7 @@ class Symbol(int):
         if kind == "z":
             if i is None:
                 raise ValueError("z generator needs an index i")
+            _require_int("index", i)
             if not 1 <= i <= a.n:
                 raise ValueError(f"index {i} outside 1..{a.n}")
             if i in a:
@@ -95,12 +98,26 @@ class Symbol(int):
     __truediv__ = __rtruediv__ = __pow__ = __rpow__ = __neg__ = _not_a_number
 
 
+#: the one Symbol of each letter that u or z has returned, keyed by (n, bits)
+#: for u(A) and (n, bits, i) for z(A,i); a letter is only added once Symbol
+#: has accepted it, and never removed
+_LETTERS: dict[tuple[int, ...], Symbol] = {}
+
+
 def z(a: NodeSet, i: int) -> Symbol:
-    return Symbol("z", a, i)
+    if i.__class__ is not int:  # True or 1.0 would find z(A,1): let Symbol refuse it
+        return Symbol("z", a, i)
+    s = _LETTERS.get((a.n, a.bits, i))
+    if s is None:  # setdefault, as in complexes._node_set
+        s = _LETTERS.setdefault((a.n, a.bits, i), Symbol("z", a, i))
+    return s
 
 
 def u(a: NodeSet) -> Symbol:
-    return Symbol("u", a)
+    s = _LETTERS.get((a.n, a.bits))
+    if s is None:
+        s = _LETTERS.setdefault((a.n, a.bits), Symbol("u", a))
+    return s
 
 
 def symbol_key(s: Symbol) -> int:
@@ -204,7 +221,15 @@ class Poly:
         return Poly._canonical({w: -c for w, c in self._terms.items()}, self._n)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check_universe(other)
+        out = dict(self._terms)
+        for w, c in other._terms.items():
+            acc = out.get(w, 0) - c
+            if acc:
+                out[w] = exact(acc)
+            else:
+                out.pop(w, None)
+        return Poly._canonical(out, self._n or other._n)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         if not isinstance(other, Poly):
@@ -261,8 +286,19 @@ class Poly:
 
 
 def commutator(p: Poly, q: Poly) -> Poly:
-    """[p, q] = pq - qp."""
-    return p * q - q * p
+    """[p, q] = pq - qp, both products merged into one map as they are formed."""
+    p._check_universe(q)
+    out: dict[Word, Rational] = {}
+    for w1, c1 in p._terms.items():
+        for w2, c2 in q._terms.items():
+            c = c1 * c2
+            for w, x in ((w1 + w2, c), (w2 + w1, -c)):
+                acc = out.get(w, 0) + x
+                if acc:
+                    out[w] = exact(acc)
+                else:
+                    out.pop(w, None)
+    return Poly._canonical(out, p._n or q._n)
 
 
 def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:

@@ -166,8 +166,7 @@ def rel_5(a: NodeSet, i: int, j: int) -> Poly:
     _require_witnesses(a, i, j)
     si = _subset_sum(a, i)
     sj = _subset_sum(a, j)
-    sij = _subset_sum(a, i, j)
-    return rel_9(a, a, i, j) - sij * (si - sj)
+    return commutator(si, sj) - _subset_sum(a, i, j) * (si - sj)
 
 
 def rel_9(ap: NodeSet, bp: NodeSet, i: int, j: int) -> Poly:

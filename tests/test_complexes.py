@@ -1,6 +1,7 @@
 """Tests for node sets, complexes and graphs."""
 
 import random
+import re
 from math import comb
 from time import perf_counter
 
@@ -108,6 +109,34 @@ class TestNodeSet:
     def test_mixed_universe_rejected(self):
         with pytest.raises(ValueError, match="mixed universes"):
             NodeSet.of((1,), 2) | NodeSet.of((1,), 3)
+
+    # a bool passed as the int it equals, a float failed inside a shift
+    @pytest.mark.parametrize("make, text", [
+        (lambda: NodeSet(True, 1), "n True"),
+        (lambda: NodeSet(1, True), "bitmask True"),
+        (lambda: NodeSet(2.0, 1), "n 2.0"),
+        (lambda: NodeSet(2, 1.0), "bitmask 1.0"),
+        (lambda: NodeSet.of((1,), True), "n True"),
+        (lambda: NodeSet.of((), 2.0), "n 2.0"),
+        (lambda: NodeSet.full(True), "n True"),
+        (lambda: NodeSet.full(None), "n None"),
+    ])
+    def test_n_and_bits_must_be_ints(self, make, text):
+        NodeSet.of((1,), 1), NodeSet.full(1), NodeSet.of((), 2)  # held sets an equal key would find
+        with pytest.raises(ValueError, match=rf"^{re.escape(text)} is not an integer$"):
+            make()
+
+    def test_one_object_per_value(self):
+        a = NodeSet.of((1, 3), 4)
+        assert a is NodeSet.of((3, 1, 3), 4) is NodeSet.of((1,), 4).plus(3)
+        assert a is NodeSet.of((1, 2, 3), 4).minus(2) is NodeSet.of((1,), 4) | NodeSet.of((3,), 4)
+        assert a.plus(1) is a.minus(2) is a is a.subsets()[-1] is NodeSet.full(4).subsets()[6]
+        assert NodeSet.full(4) is NodeSet.of((4, 3, 2, 1), 4) is not NodeSet.full(5)
+        assert all(s is t for s, t in zip(NodeSet.full(4).subsets(), NodeSet.full(4).subsets()))
+        # a set built directly is a new object, equal to the held one
+        b = NodeSet(4, 0b101)
+        assert b is not a and b == a and hash(b) == hash(a)
+        assert b.plus(1) is a and b | b is a
 
 
 class TestClosure:

@@ -1,8 +1,13 @@
 """Tests for the free-algebra layer: arithmetic, canonical form, text form."""
 
 import copy
+import os
 import pickle
 import random
+import re
+import subprocess
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +18,7 @@ from ncomplex.free_algebra import (
     MIN_SLICE_CHARGE,
     MONOMIAL_CAP,
     Poly,
+    Symbol,
     _check_word_count,
     commutator,
     enumerate_monomials,
@@ -48,8 +54,22 @@ class TestSymbols:
             z(NodeSet.of((2,), 3), 2)
         with pytest.raises(ValueError, match="unit"):
             u(NodeSet.of((), 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="z generator needs an index i"):
             z(NodeSet.of((1,), 3), None)
+
+    # a bool passed as the int it equals, and a float failed inside a shift
+    @pytest.mark.parametrize("make, text", [
+        (lambda a: z(a, True), "True"),
+        (lambda a: Symbol("z", a, True), "True"),
+        (lambda a: z(a, 3.0), "3.0"),
+        (lambda a: Symbol("z", a, 3.0), "3.0"),
+        (lambda a: z(a, Fraction(3)), "Fraction(3, 1)"),
+    ])
+    def test_index_must_be_an_int(self, make, text):
+        a = NodeSet.of((2,), 3)
+        z(a, 1), z(a, 3)  # held letters an equal key would find
+        with pytest.raises(ValueError, match=rf"^index {re.escape(text)} is not an integer$"):
+            make(a)
 
     def test_canonical_order(self):
         a = NodeSet.of((1,), 3)
@@ -78,10 +98,59 @@ def old_reversed_symbol_key(s):
 
 class TestSymbolIdentity:
     def test_equal_symbols_built_apart(self):
-        a, b = z(NodeSet.of((1, 3), 4), 2), z(NodeSet.of((3, 1), 4), 2)
+        a, b = Symbol("z", NodeSet(4, 0b101), 2), Symbol("z", NodeSet.of((3, 1), 4), 2)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert u(NodeSet.of((1, 2), 3)) == u(NodeSet.of((2, 1), 3))
-        assert len({a, b}) == 1
+        assert Symbol("u", NodeSet(3, 0b11)) == u(NodeSet.of((2, 1), 3))
+        assert len({a, b, z(NodeSet.of((1, 3), 4), 2)}) == 1
+
+    def test_one_object_per_letter(self):
+        # the held letter is found from any equal set, also one built directly
+        a = NodeSet.of((1, 3), 4)
+        assert z(a, 2) is z(NodeSet(4, 0b101), 2) is z(NodeSet.of((3, 1), 4), 2)
+        assert u(a) is u(NodeSet(4, 0b101)) is u(NodeSet.of((1,), 4) | a.plus(2).minus(2))
+        assert z(a, 2) is not z(a, 4) and u(a) is not u(NodeSet.of((1, 3), 5))
+        letters = all_z_symbols(3) + all_u_symbols(3)
+        assert all(s is t for s, t in zip(letters, all_z_symbols(3) + all_u_symbols(3)))
+
+    def test_threads_that_miss_together_get_one_object(self):
+        # every z letter on 8 nodes, built at once by more threads than cores
+        start = threading.Barrier(8, timeout=60)
+
+        def build(out):
+            start.wait()
+            out.extend(z(a, i) for a in NodeSet.full(8).subsets() for i in range(1, 9)
+                       if i not in a)
+        results = [[] for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(r,)) for r in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results[0]) == 8 * 2 ** 7
+        assert all(s is t for r in results[1:] for s, t in zip(r, results[0], strict=True))
+
+    def test_a_verify_sweep_holds_only_its_universe(self):
+        # in a fresh process, whose tables start empty
+        code = ("import contextlib, io\n"
+                "from ncomplex import cli\n"
+                "from ncomplex.complexes import _NODE_SETS\n"
+                "from ncomplex.free_algebra import _LETTERS\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(['verify', '--n', '4']) == 0\n"
+                "print(len(_NODE_SETS), len(_LETTERS),"
+                " *sorted({key[0] for key in [*_NODE_SETS, *_LETTERS]}))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        sets, letters, *universes = map(int, proc.stdout.split())
+        assert 0 < sets <= 16 and 0 < letters <= 15 + 32 and universes == [4]
 
     def test_unequal_symbols(self):
         a = NodeSet.of((1,), 3)
@@ -145,6 +214,8 @@ class TestSymbolContract:
             t = clone(s)
             assert type(t) is type(s) and t == s and hash(t) == hash(s)
             assert (t.kind, t.a, t.i, str(t), repr(t)) == (s.kind, s.a, s.i, str(s), repr(s))
+            # a copy's set finds the held letter
+            assert (z(t.a, t.i) if t.kind == "z" else u(t.a)) is s
 
     def test_refuses_arithmetic(self):
         s, t = u(NodeSet.of((1,), 3)), u(NodeSet.of((2,), 3))
