@@ -24,7 +24,6 @@ from .free_algebra import (
     Poly,
     Symbol,
     commutator,
-    enumerate_monomials,
     poly_text,
     substitute,
     symbol_key,

@@ -115,8 +115,8 @@ class NodeSet:
         return "{" + ",".join(str(v) for v in self.elements) + "}"
 
 
-#: the one NodeSet of each (n, bits) that a NodeSet method has returned; a
-#: value is only added once NodeSet has accepted it, and never removed
+#: the one NodeSet of each (n, bits) asked of a NodeSet method or of _node_set;
+#: a value is only added once NodeSet has accepted it, and never removed
 _NODE_SETS: dict[tuple[int, int], NodeSet] = {}
 
 

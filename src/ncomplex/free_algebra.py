@@ -11,13 +11,15 @@ validated once, then held for the process.
 
 Coefficients are exact rationals: int where integral, else Fraction (``exact``);
 polynomials are canonical term maps, so equality is literal equality of the maps.
+Every sum of term maps (Poly +, - and *, commutator, substitute, the parser's
+sums) is made by _add or _add_products.  Poly(mapping) checks every term and
+its universe; arithmetic takes over its canonical results unchecked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Mapping, NoReturn
+from typing import Mapping, NoReturn
 
 from .complexes import NodeSet, _require_int
 
@@ -134,6 +136,8 @@ def reversed_symbol_key(s: Symbol) -> int:
 
 #: a word in the generators; the empty tuple is the unit monomial
 Word = tuple[Symbol, ...]
+#: a canonical term map: word -> nonzero ``exact`` coefficient
+_Terms = dict[Word, Rational]
 
 
 def word_key(w: Word) -> tuple:
@@ -202,49 +206,27 @@ class Poly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def _check_universe(self, other: "Poly") -> None:
+    def _check_universe(self, other: "Poly") -> int | None:
         if self._n is not None and other._n is not None and self._n != other._n:
             raise ValueError(f"mixed universes: n={self._n} vs n={other._n}")
+        return self._n or other._n
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_universe(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            acc = out.get(w, 0) + c
-            if acc:
-                out[w] = exact(acc)
-            else:
-                out.pop(w, None)
-        return Poly._canonical(out, self._n or other._n)
+        n = self._check_universe(other)
+        return Poly._canonical(_add(dict(self._terms), other._terms), n)
 
     def __neg__(self) -> "Poly":
         return Poly._canonical({w: -c for w, c in self._terms.items()}, self._n)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_universe(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            acc = out.get(w, 0) - c
-            if acc:
-                out[w] = exact(acc)
-            else:
-                out.pop(w, None)
-        return Poly._canonical(out, self._n or other._n)
+        n = self._check_universe(other)
+        return Poly._canonical(_add(dict(self._terms), other._terms, True), n)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         if not isinstance(other, Poly):
             return self.__rmul__(other)
-        self._check_universe(other)
-        out: dict[Word, Rational] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                acc = out.get(w, 0) + c1 * c2
-                if acc:
-                    out[w] = exact(acc)
-                else:
-                    out.pop(w, None)
-        return Poly._canonical(out, self._n or other._n)
+        n = self._check_universe(other)
+        return Poly._canonical(_add_products({}, self._terms, other._terms), n)
 
     def __rmul__(self, other: Rational) -> "Poly":
         return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
@@ -285,26 +267,45 @@ class Poly:
         return f"Poly({poly_text(self)})"
 
 
+def _add(out: _Terms, terms: _Terms, negate: bool = False) -> _Terms:
+    """out += terms (-= when negate), in place, and return out: a word whose
+    sum is zero leaves the map, an integral sum is stored as an int."""
+    for w, c in terms.items():
+        acc = out.get(w, 0) - c if negate else out.get(w, 0) + c
+        if acc:
+            out[w] = exact(acc)
+        else:
+            out.pop(w, None)
+    return out
+
+
+def _add_products(out: _Terms, p: _Terms, q: _Terms, negate: bool = False) -> _Terms:
+    """out += p * q (-= when negate) by _add's rule, each product of terms
+    summed into out as it is formed."""
+    for w1, c1 in p.items():
+        if negate:
+            c1 = -c1
+        for w2, c2 in q.items():
+            w = w1 + w2
+            acc = out.get(w, 0) + c1 * c2
+            if acc:
+                out[w] = exact(acc)
+            else:
+                out.pop(w, None)
+    return out
+
+
 def commutator(p: Poly, q: Poly) -> Poly:
-    """[p, q] = pq - qp, both products merged into one map as they are formed."""
-    p._check_universe(q)
-    out: dict[Word, Rational] = {}
-    for w1, c1 in p._terms.items():
-        for w2, c2 in q._terms.items():
-            c = c1 * c2
-            for w, x in ((w1 + w2, c), (w2 + w1, -c)):
-                acc = out.get(w, 0) + x
-                if acc:
-                    out[w] = exact(acc)
-                else:
-                    out.pop(w, None)
-    return Poly._canonical(out, p._n or q._n)
+    """[p, q] = pq - qp, both products summed into one map."""
+    n = p._check_universe(q)
+    out = _add_products({}, p._terms, q._terms)
+    return Poly._canonical(_add_products(out, q._terms, p._terms, True), n)
 
 
 def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
-    """Apply the algebra homomorphism sending each symbol to its image."""
-    out: dict[Word, Rational] = {}
-    universes = set()
+    """Apply the algebra homomorphism sending each symbol to its image; one word's
+    images must share a universe, and Poly() checks the terms that survive."""
+    out: _Terms = {}
     for w, c in p._terms.items():
         acc = Poly._canonical({(): c}, None)
         for s in w:
@@ -312,14 +313,8 @@ def substitute(p: Poly, images: Mapping[Symbol, Poly]) -> Poly:
             if img is None:
                 raise ValueError(f"no image for symbol {s}")
             acc = acc * img
-        universes.add(acc._n)
-        for w2, c2 in acc._terms.items():
-            out[w2] = out.get(w2, 0) + c2
-    universes.discard(None)
-    if len(universes) > 1:
-        return Poly(out)  # images over two universes: the checks decide
-    return Poly._canonical({w: exact(c) for w, c in out.items() if c},
-                           universes.pop() if universes else None)
+        _add(out, acc._terms)
+    return Poly(out)
 
 
 def _check_word_count(k: int, d: int) -> None:
@@ -339,17 +334,6 @@ def _check_word_count(k: int, d: int) -> None:
                 break
     if total > MONOMIAL_CAP:
         raise ValueError(f"{k}^{d} words exceed the monomial cap {MONOMIAL_CAP}")
-
-
-def enumerate_monomials(alphabet: Iterable[Symbol], d: int) -> list[Word]:
-    """All words of length d over the alphabet, in canonical order."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    letters = sorted(alphabet, key=symbol_key)
-    if not letters:
-        raise ValueError("alphabet must be nonempty")
-    _check_word_count(len(letters), d)
-    return [tuple(w) for w in product(letters, repeat=d)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ Grammar (whitespace-insensitive)::
 caller (the CLI takes it from the complex file), and so is an optional bound
 on the degree of every product and term (the CLI passes ``--max-degree``).  The
 canonical text form emitted by poly_text parses back to an equal polynomial.
+Each sum is added into one map by free_algebra._add and taken over unchecked,
+since every letter in it was built over n.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .complexes import NodeSet
-from .free_algebra import Poly, Rational, commutator, exact, u, z
+from .free_algebra import Poly, Rational, _add, commutator, exact, u, z
 
 #: refuse expressions that nest '(' and '[' deeper than this
 NESTING_CAP = 100
@@ -158,12 +160,7 @@ class _Parser:
             self.advance()
         out = {}
         while True:
-            for w, c in self.term()._terms.items():
-                acc = out.get(w, 0) + (-c if negate else c)
-                if acc:
-                    out[w] = exact(acc)
-                else:
-                    out.pop(w, None)
+            _add(out, self.term()._terms, negate)
             if self.tok not in ("+", "-"):
                 return Poly._canonical(out, self.n)
             negate = self.tok == "-"

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .complexes import Complex, Graph, NodeSet
+from .complexes import Complex, Graph, NodeSet, _node_set
 from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, commutator, symbol_key, u, z
 
 #: the most words one rel_4, rel_5 (2^(2|A|+2)) or rel_9 instance may have
@@ -146,7 +146,7 @@ def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     _require_witnesses(a, i, j)
     # swapping i and j negates the quadratic
     return _quadratic(*_rel_4_letters([d.bits for d in a.subsets()], i, j,
-                                      lambda m: u(NodeSet(a.n, m))), a.n)
+                                      lambda m: u(_node_set(a.n, m))), a.n)
 
 
 def _check_rel_4_words(n: int) -> None:
@@ -189,7 +189,7 @@ def _vertex_edge_letters(n: int, vertices, edges) -> dict[int, Symbol]:
     """The u letters of the given vertices and edges, keyed by bitmask."""
     masks = [1 << v - 1 for v in vertices]
     masks += [1 << i - 1 | 1 << j - 1 for i, j in edges]
-    return {m: u(NodeSet(n, m)) for m in masks}
+    return {m: u(_node_set(n, m)) for m in masks}
 
 
 def _truncated(a, i: int, j: int, letters: dict[int, Symbol], n: int) -> Poly:

@@ -21,14 +21,12 @@ from ncomplex.free_algebra import (
     Symbol,
     _check_word_count,
     commutator,
-    enumerate_monomials,
     exact,
     poly_text,
     reversed_symbol_key,
     substitute,
     symbol_key,
     u,
-    word_key,
     z,
 )
 from ncomplex.parsing import parse_poly
@@ -452,34 +450,6 @@ class TestGrading:
         with pytest.raises(ValueError):
             us(1).graded_component(-1)
 
-
-class TestEnumerateMonomials:
-    def test_counts(self):
-        two = [u(NodeSet.of((1,), 2)), u(NodeSet.of((2,), 2))]
-        assert len(enumerate_monomials(two, 2)) == 4
-        assert enumerate_monomials(two, 0) == [()]
-        fifteen = [u(s) for s in NodeSet.full(4).subsets() if not s.is_empty]
-        assert len(enumerate_monomials(fifteen, 2)) == 225
-
-    def test_canonical_order_no_duplicates(self):
-        letters = [u(s) for s in NodeSet.full(2).subsets() if not s.is_empty]
-        words = enumerate_monomials(letters, 2)
-        keys = [word_key(w) for w in words]
-        assert keys == sorted(keys)
-        assert len(set(words)) == len(words)
-
-    def test_cap(self):
-        letters = [u(s) for s in NodeSet.full(4).subsets() if not s.is_empty]
-        assert 15 ** 7 > MONOMIAL_CAP
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_monomials(letters, 7)
-
-    def test_cap_counts_every_degree(self):
-        # one letter has one word per degree, so a huge degree is refused, at
-        # once, before any word is built
-        with pytest.raises(ValueError, match="1\\^100000000 words exceed"):
-            enumerate_monomials([u(NodeSet.of((1,), 1))], 10 ** 8)
-
     def test_minimum_slice_charge_moves_no_refusal_from_two_letters(self):
         # the largest degree whose plain word count fits stays accepted and
         # the next stays refused; from MIN_SLICE_CHARGE letters on every
@@ -492,17 +462,6 @@ class TestEnumerateMonomials:
             _check_word_count(k, d)
             with pytest.raises(ValueError, match=f"{k}\\^{d + 1} words exceed"):
                 _check_word_count(k, d + 1)
-
-    def test_one_letter_charged_per_degree(self):
-        one = [u(NodeSet.of((1,), 1))]
-        last = (MONOMIAL_CAP - 1) // MIN_SLICE_CHARGE
-        assert len(enumerate_monomials(one, last)) == 1
-        with pytest.raises(ValueError, match=f"1\\^{last + 1} words exceed"):
-            enumerate_monomials(one, last + 1)
-
-    def test_empty_alphabet(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            enumerate_monomials([], 1)
 
 
 class TestTextForm:

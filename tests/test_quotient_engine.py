@@ -46,7 +46,6 @@ from ncomplex.complexes import (
 from ncomplex.free_algebra import (
     Poly,
     commutator,
-    enumerate_monomials,
     exact,
     poly_text,
     reversed_symbol_key,
@@ -122,7 +121,8 @@ def row_digest(basis):
 def dense_rows(pres, e):
     """All spanning vectors of the degree-e ideal slice, densely, via Poly
     arithmetic only."""
-    words = enumerate_monomials(pres.alphabet, e)
+    letters = sorted(pres.alphabet, key=symbol_key)
+    words = list(product(letters, repeat=e))
     index = {w: k for k, w in enumerate(words)}
     rows = []
     for g in pres.relations:
@@ -130,8 +130,8 @@ def dense_rows(pres, e):
         if e0 > e:
             continue
         for a in range(e - e0 + 1):
-            for m1 in enumerate_monomials(pres.alphabet, a):
-                for m2 in enumerate_monomials(pres.alphabet, e - e0 - a):
+            for m1 in product(letters, repeat=a):
+                for m2 in product(letters, repeat=e - e0 - a):
                     p = Poly.term(1, m1) * g * Poly.term(1, m2)
                     row = [Fraction(0)] * len(words)
                     for w, c in p.terms.items():
