@@ -450,6 +450,25 @@ class TestGrading:
         with pytest.raises(ValueError):
             us(1).graded_component(-1)
 
+
+class TestWordCount:
+    def test_cap(self):
+        assert 15 ** 7 > MONOMIAL_CAP
+        with pytest.raises(ValueError, match="cap"):
+            _check_word_count(15, 7)
+
+    def test_cap_counts_every_degree(self):
+        # one letter has one word per degree, so a huge degree is refused, at
+        # once, without a loop over its degrees
+        with pytest.raises(ValueError, match="1\\^100000000 words exceed"):
+            _check_word_count(1, 10 ** 8)
+
+    def test_one_letter_charged_per_degree(self):
+        last = (MONOMIAL_CAP - 1) // MIN_SLICE_CHARGE
+        _check_word_count(1, last)
+        with pytest.raises(ValueError, match=f"1\\^{last + 1} words exceed"):
+            _check_word_count(1, last + 1)
+
     def test_minimum_slice_charge_moves_no_refusal_from_two_letters(self):
         # the largest degree whose plain word count fits stays accepted and
         # the next stays refused; from MIN_SLICE_CHARGE letters on every

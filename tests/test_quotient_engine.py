@@ -51,6 +51,7 @@ from ncomplex.free_algebra import (
     reversed_symbol_key,
     symbol_key,
     u,
+    word_key,
     z,
 )
 from ncomplex.presentations import (
@@ -589,6 +590,19 @@ class TestQuotientBasis:
         basis = TruncatedIdealBasis(pres, 2)
         for e in range(3):
             assert len(basis.quotient_basis(e)) == basis.dimension(e)
+
+    def test_free_word_counts(self):
+        two = Presentation("free", (u(ns(1, n=2)), u(ns(2, n=2))), ())
+        assert TruncatedIdealBasis(two, 2).dimensions() == [1, 2, 4]
+        fifteen = tuple(u(s) for s in NodeSet.full(4).subsets() if not s.is_empty)
+        assert TruncatedIdealBasis(Presentation("free", fifteen, ()), 2).dimension(2) == 225
+
+    def test_free_words_in_canonical_order_without_duplicates(self):
+        letters = tuple(u(s) for s in NodeSet.full(2).subsets() if not s.is_empty)
+        words = TruncatedIdealBasis(Presentation("free", letters, ()), 2).quotient_basis(2)
+        keys = [word_key(w) for w in words]
+        assert keys == sorted(keys)
+        assert len(set(words)) == len(words) == 9
 
 
 class TestEngineProperties:
