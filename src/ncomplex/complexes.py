@@ -2,9 +2,10 @@
 
 A complex is a downward-closed family of nonempty subsets of {1..n} that
 always contains every singleton.  Sets are stored as bitmasks (bit k-1
-represents vertex k), which caps the universe at 16 vertices.  NodeSet.of,
-full, plus, minus, | and subsets return one object per value: each set they
-are asked for is built and validated once, then held for the process.
+represents vertex k), which caps the universe at 16 vertices.  NodeSet alone
+checks n and vertices, and NodeSet.of, full, plus, minus, | and subsets
+return one object per value: each set they, closure, enumerate_complexes
+and Complex ask for is built and validated once, then held for the process.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ class Complex:
     faces: frozenset[NodeSet]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= UNIVERSE_CAP:
-            raise ValueError(f"n={self.n} outside 1..{UNIVERSE_CAP}")
+        NodeSet.full(self.n)  # NodeSet's checks of n
         masks = set()
         for f in self.faces:
             if f.n != self.n:
@@ -158,8 +158,8 @@ class Complex:
                 rest &= rest - 1
                 if sub and sub not in masks:
                     raise ValueError(
-                        f"not downward closed: {NodeSet(self.n, sub)} missing "
-                        f"under {NodeSet(self.n, m)}")
+                        f"not downward closed: {_node_set(self.n, sub)} missing "
+                        f"under {_node_set(self.n, m)}")
 
     def sorted_faces(self) -> list[NodeSet]:
         return sorted(self.faces, key=NodeSet.sort_key)
@@ -170,7 +170,8 @@ class Complex:
 
 def closure(facets: Iterable[Iterable[int]], n: int) -> Complex:
     """Smallest complex containing the given facets plus every singleton."""
-    faces: set[NodeSet] = {NodeSet(n, 1 << v) for v in range(n)}
+    NodeSet.full(n)
+    faces: set[NodeSet] = {_node_set(n, 1 << v) for v in range(n)}
     for facet in facets:
         top = NodeSet.of(facet, n)
         if top.is_empty:
@@ -211,12 +212,10 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= UNIVERSE_CAP:
-            raise ValueError(f"n={self.n} outside 1..{UNIVERSE_CAP}")
+        NodeSet.full(self.n)
         for e in self.edges:
             i, j = e
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge {e} has a vertex outside 1..{self.n}")
+            NodeSet.of(e, self.n)  # NodeSet's checks of each vertex
             if i >= j:
                 raise ValueError(f"edge {e} must be an ordered pair i < j")
 
@@ -277,11 +276,12 @@ def enumerate_complexes(n: int) -> list[Complex]:
     subsets), extends every family that holds its subsets with one node fewer."""
     if n > 5:
         raise ValueError("exhaustive complex enumeration is capped at n=5")
+    full = NodeSet.full(n)  # before range(n), which would fail on a float
     families = [frozenset(1 << v for v in range(n))]
-    for s in NodeSet.full(n).subsets():
+    for s in full.subsets():
         if s.size >= 2:
             below = [s.minus(v).bits for v in s]
             families += [f | {s.bits} for f in families if all(b in f for b in below)]
-    out = [Complex(n, frozenset(NodeSet(n, m) for m in f)) for f in families]
+    out = [Complex(n, frozenset(_node_set(n, m) for m in f)) for f in families]
     out.sort(key=lambda c: (len(c.faces), sorted(map(NodeSet.sort_key, c.faces))))
     return out

@@ -323,17 +323,12 @@ def _check_word_count(k: int, d: int) -> None:
     stops once past the cap, so the cost does not grow with d.  From k = 2
     on, the charge refuses exactly the degrees that the plain word count
     refuses."""
-    if k < 2:
-        total = 1 + d * MIN_SLICE_CHARGE
-    else:
-        total, words = 1, 1
-        for _ in range(d):
-            words *= k
-            total += max(words, MIN_SLICE_CHARGE)
-            if total > MONOMIAL_CAP:
-                break
-    if total > MONOMIAL_CAP:
-        raise ValueError(f"{k}^{d} words exceed the monomial cap {MONOMIAL_CAP}")
+    total, words = 1, 1
+    for _ in range(d):
+        words *= k
+        total += max(words, MIN_SLICE_CHARGE)
+        if total > MONOMIAL_CAP:
+            raise ValueError(f"{k}^{d} words exceed the monomial cap {MONOMIAL_CAP}")
 
 
 # ---------------------------------------------------------------------------

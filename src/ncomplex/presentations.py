@@ -203,9 +203,11 @@ def _truncated(a, i: int, j: int, letters: dict[int, Symbol], n: int) -> Poly:
 def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
     """The quadratic element R(A,i,j): rel_5(A,i,j) = rel_4(A,j,i) with every
     u(S), |S| >= 3, set to zero, that is [P_i,P_j] - u(ij)(P_i - P_j) with
-    P_i = u(i) + sum over k in A of u(ik).  With a graph argument, non-edge
-    pair generators are also zeroed at build time."""
+    P_i = u(i) + sum over k in A of u(ik).  With a graph on A's universe,
+    non-edge pair generators are also zeroed at build time."""
     _require_witnesses(a, i, j)
+    if graph is not None and graph.n != a.n:
+        raise ValueError(f"mixed universes: n={a.n} vs n={graph.n}")
     pairs = [(i, j)] + [(x, k) for k in a for x in (i, j)]
     edges = [e for e in pairs if graph is None or graph.has_edge(*e)]
     return _truncated(a, i, j, _vertex_edge_letters(a.n, (i, j), edges), a.n)

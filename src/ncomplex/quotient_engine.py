@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .complexes import _require_int
 from .free_algebra import Poly, Rational, Symbol, Word, _check_word_count, exact, symbol_key
 from .presentations import Presentation
 
@@ -153,6 +154,7 @@ class TruncatedIdealBasis:
 
     def __init__(self, presentation: Presentation, max_degree: int,
                  key: Callable[[Symbol], int] = symbol_key):
+        _require_int("max_degree", max_degree)
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.max_degree = max_degree
@@ -271,6 +273,7 @@ class TruncatedIdealBasis:
                                 for c, x in rem.items()}, q._n)
 
     def _check_degree(self, e: int) -> None:
+        _require_int("degree", e)
         if e < 0:
             raise ValueError(f"degree {e} is negative")
         if e > self.max_degree:

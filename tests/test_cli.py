@@ -581,13 +581,13 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 
 
 def readme_examples():
-    """(argv, stdout) of each README example of relations, hilbert and
-    membership: the command line and the `# ` lines printed under it."""
+    """(argv, stdout) of each README example of closure, relations, hilbert
+    and membership: the command line and the `# ` lines printed under it."""
     lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
     out = []
     for x, line in enumerate(lines):
         argv = shlex.split(line) if line.startswith("ncomplex ") else []
-        if argv[1:2] and argv[1] in ("relations", "hilbert", "membership"):
+        if argv[1:2] and argv[1] in ("closure", "relations", "hilbert", "membership"):
             shown = list(takewhile(lambda s: s.startswith("# "), lines[x + 1:]))
             if shown:
                 out.append((argv[1:], "".join(s[2:] + "\n" for s in shown)))
@@ -598,7 +598,7 @@ def test_readme_examples_print_what_readme_shows(capsys, monkeypatch, tmp_path,
                                                  path3, edgeless3):
     monkeypatch.chdir(tmp_path)
     examples = readme_examples()
-    assert [argv[0] for argv, _ in examples] == ["relations", "relations", "hilbert",
-                                                "hilbert", "membership"]
+    assert [argv[0] for argv, _ in examples] == ["closure", "relations", "relations",
+                                                "hilbert", "hilbert", "membership"]
     for argv, shown in examples:
         assert run(capsys, argv) == (0, shown, ""), argv

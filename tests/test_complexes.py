@@ -11,6 +11,7 @@ from ncomplex.complexes import (
     Complex,
     Graph,
     NodeSet,
+    _node_set,
     closure,
     complete_graph,
     cycle_graph,
@@ -105,6 +106,9 @@ class TestNodeSet:
         for n in (-1, 0, 17):
             with pytest.raises(ValueError, match=f"n={n} outside 1..16"):
                 NodeSet.full(n)
+        for bits in (-1, 4):
+            with pytest.raises(ValueError, match=f"^bitmask {bits:#x} out of range for n=2$"):
+                NodeSet(2, bits)
 
     def test_mixed_universe_rejected(self):
         with pytest.raises(ValueError, match="mixed universes"):
@@ -201,6 +205,10 @@ class TestFaceQueries:
         with pytest.raises(ValueError, match="empty set"):
             is_face(closure([], 2), NodeSet.of((), 2))
 
+    def test_mixed_universes(self):
+        with pytest.raises(ValueError, match=r"^mixed universes: n=3 vs n=2$"):
+            is_face(closure([], 2), NodeSet.of((1,), 3))
+
     def test_edges(self):
         assert edges(closure([{1, 2}, {2, 3}], 3)) == {(1, 2), (2, 3)}
         assert edges(closure([], 3)) == frozenset()
@@ -253,6 +261,11 @@ class TestComplexValidation:
         with pytest.raises(ValueError, match="empty set"):
             Complex(1, frozenset({NodeSet.of((), 1), NodeSet.of((1,), 1)}))
 
+    def test_rejects_face_from_another_universe(self):
+        faces = {NodeSet.of((1,), 2), NodeSet.of((2,), 2), NodeSet.of((1,), 3)}
+        with pytest.raises(ValueError, match=r"^face \{1\} has universe n=3, expected 2$"):
+            Complex(2, frozenset(faces))
+
 
 class TestGraph:
     def test_from_edges_normalizes(self):
@@ -263,6 +276,10 @@ class TestGraph:
     def test_loop_rejected(self):
         with pytest.raises(ValueError, match="loop"):
             Graph.from_edges([(1, 1)], 2)
+
+    def test_edge_must_be_ordered(self):
+        with pytest.raises(ValueError, match=r"^edge \(2, 1\) must be an ordered pair i < j$"):
+            Graph(3, frozenset({(2, 1)}))
 
     def test_from_complex_requires_dim_le_1(self):
         with pytest.raises(ValueError, match="dimension 2"):
@@ -311,3 +328,35 @@ class TestEnumerateComplexes:
         with pytest.raises(ValueError, match="capped at n=5"):
             enumerate_complexes(6)
         assert perf_counter() - start < 1.0
+
+
+# n and vertices are checked by NodeSet alone, whoever passes them on
+@pytest.mark.parametrize("make, message", [
+    (lambda: Complex(True, frozenset()), "n True is not an integer"),
+    (lambda: Complex(0, frozenset()), "n=0 outside 1..16"),
+    (lambda: Graph(True, frozenset()), "n True is not an integer"),
+    (lambda: Graph(4.0, frozenset()), "n 4.0 is not an integer"),
+    (lambda: Graph(17, frozenset()), "n=17 outside 1..16"),
+    (lambda: path_graph(True), "n True is not an integer"),
+    (lambda: Graph(3, frozenset({(1, 2.0)})), "vertex 2.0 is not an integer"),
+    (lambda: Graph.from_edges([(True, 2)], 3), "vertex True is not an integer"),
+    (lambda: Graph(4, frozenset({(1, 5)})), "vertex 5 exceeds n=4"),
+    (lambda: Graph(4, frozenset({(0, 1)})), "vertex 0 is below 1"),
+    (lambda: closure([[1, 2]], 2.0), "n 2.0 is not an integer"),
+    (lambda: closure([[1]], 0), "n=0 outside 1..16"),
+    (lambda: enumerate_complexes(2.0), "n 2.0 is not an integer"),
+    (lambda: enumerate_complexes(0), "n=0 outside 1..16"),
+], ids=["Complex-bool", "Complex-0", "Graph-bool", "Graph-float", "Graph-17",
+        "path_graph-bool", "Graph-float-vertex", "from_edges-bool-vertex",
+        "Graph-vertex-above", "Graph-vertex-below", "closure-float", "closure-0",
+        "enumerate_complexes-float", "enumerate_complexes-0"])
+def test_node_set_refuses_for_every_caller(make, message):
+    NodeSet.full(1), NodeSet.full(2), NodeSet.full(4)  # held sets an equal key would find
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_every_face_is_the_held_set():
+    made = [closure([[1, 2, 3], [3, 4]], 4), closure([], 3)] + enumerate_complexes(4)
+    for c in made:
+        assert all(f is _node_set(c.n, f.bits) for f in c.faces), c

@@ -54,6 +54,10 @@ class TestSymbols:
             u(NodeSet.of((), 3))
         with pytest.raises(ValueError, match="z generator needs an index i"):
             z(NodeSet.of((1,), 3), None)
+        with pytest.raises(ValueError, match="^u generator takes no index$"):
+            Symbol("u", NodeSet.of((1,), 3), 2)
+        with pytest.raises(ValueError, match="^unknown generator kind 'w'$"):
+            Symbol("w", NodeSet.of((1,), 3))
 
     # a bool passed as the int it equals, and a float failed inside a shift
     @pytest.mark.parametrize("make, text", [

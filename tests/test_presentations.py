@@ -327,6 +327,8 @@ class TestRel9:
             rel_9(ns(1), ns(), 1, 2)
         with pytest.raises(ValueError):
             rel_9(ns(), ns(2), 1, 2)
+        with pytest.raises(ValueError, match=r"^indices must differ, got i=j=1$"):
+            rel_9(ns(), ns(), 1, 1)
 
 
 class TestRel10:
@@ -352,6 +354,14 @@ class TestRel10:
         g = path_graph(3)
         r = rel_10(ns(2), 1, 3, graph=g)
         assert u(ns(1, 3)) not in r.symbols()
+
+    @pytest.mark.parametrize("a, graph_n", [(ns(), 4), (ns(3, n=4), 3)])
+    def test_graph_on_another_universe_refused(self, monkeypatch, a, graph_n):
+        def letters(*args):
+            raise AssertionError("a letter was built before the refusal")
+        monkeypatch.setattr(presentations, "_vertex_edge_letters", letters)
+        with pytest.raises(ValueError, match=f"^mixed universes: n={a.n} vs n={graph_n}$"):
+            rel_10(a, 1, 2, graph=path_graph(graph_n))
 
 
 class TestIdentity11:
@@ -645,6 +655,8 @@ class TestPresentations:
     def test_presentation_validation(self):
         a = u(ns(1))
         b = u(ns(2))
+        with pytest.raises(ValueError, match="^duplicate generator in alphabet$"):
+            Presentation("bad", (a, b, a), ())
         with pytest.raises(ValueError, match="inhomogeneous"):
             Presentation("bad", (a, b), (Poly.from_symbol(a)
                                          + Poly.from_symbol(a) * Poly.from_symbol(b),))

@@ -800,13 +800,25 @@ class TestErrors:
             basis.reduce(q)
 
     @pytest.mark.parametrize("e,message", [(-1, "degree -1 is negative"),
-                                           (3, "degree 3 exceeds max_degree 2")],
-                             ids=["below", "above"])
+                                           (3, "degree 3 exceeds max_degree 2"),
+                                           (True, "degree True is not an integer"),
+                                           (1.0, "degree 1.0 is not an integer")],
+                             ids=["below", "above", "bool", "float"])
     @pytest.mark.parametrize("method", ["dimension", "rank", "quotient_basis"])
     def test_degree_accessors_refuse_degrees_out_of_range(self, method, e, message):
         basis = TruncatedIdealBasis(qF_presentation(closure([{1, 2}, {2, 3}], 3)), 2)
         with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(basis, method)(e)
+
+    # a bool would pass as the int it equals, a float fail inside a range
+    @pytest.mark.parametrize("build, text", [
+        (lambda p: TruncatedIdealBasis(p, True), "True"),
+        (lambda p: TruncatedIdealBasis(p, 2.0), r"2\.0"),
+        (lambda p: graded_dimension(p, True), "True"),
+    ], ids=["bool", "float", "graded_dimension"])
+    def test_max_degree_must_be_an_int(self, build, text):
+        with pytest.raises(ValueError, match=f"^max_degree {text} is not an integer$"):
+            build(qn_presentation(2, "u"))
 
     def test_monomial_cap(self):
         pres = qn_presentation(4, "u")  # 15 letters
