@@ -139,8 +139,12 @@ class Complex:
 
     def __post_init__(self) -> None:
         NodeSet.full(self.n)  # NodeSet's checks of n
+        if not isinstance(self.faces, frozenset):
+            raise ValueError(f"faces must be a frozenset, got {type(self.faces).__name__}")
         masks = set()
         for f in self.faces:
+            if not isinstance(f, NodeSet):
+                raise ValueError(f"face {_vertex_text(f)} is not a NodeSet")
             if f.n != self.n:
                 raise ValueError(f"face {f} has universe n={f.n}, expected {self.n}")
             if f.is_empty:
@@ -213,7 +217,11 @@ class Graph:
 
     def __post_init__(self) -> None:
         NodeSet.full(self.n)
+        if not isinstance(self.edges, frozenset):
+            raise ValueError(f"edges must be a frozenset, got {type(self.edges).__name__}")
         for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2):
+                raise ValueError(f"edge {_vertex_text(e)} is not a pair (i, j)")
             i, j = e
             NodeSet.of(e, self.n)  # NodeSet's checks of each vertex
             if i >= j:

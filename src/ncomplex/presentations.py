@@ -12,15 +12,15 @@ Two sign conventions are deliberate and verified by the test suite:
   sign, which is what makes rel_10(empty, i, j) equal the degree-two pair
   relation and makes rel_10 the image of rel_5 under killing u(S), |S| >= 3.
 
-Every quadratic family is rel_4 over a table of letters: _rel_4_letters
-lists rel_4's letter lists from a letter-of-a-bitmask function, which may
-set a letter to zero, and _quadratic lists their +-1 terms.  rel_4 builds
-each letter; the u form reads a table of all 2^n - 1 and lists (A,j,i) as
-the negation of (A,i,j); rel_10 and the graph relations (i), (ii) read the
-table of vertex and edge letters.  The z form and the graph presentation
-list each relation once up to sign.  rel_5, rel_9, the z/u change of basis
-and identity_11_residual stay Poly arithmetic: the independent forms that
-the checks and tests compare the builder against.
+Every quadratic family is rel_4 over a table of letters: _rel_4_over lists
+rel_4(A,i,j)'s +-1 terms from a letter-of-a-bitmask function, which may set
+a letter to zero.  rel_4 builds each letter; the u form reads a table of all
+2^n - 1 and lists (A,j,i) as the negation of (A,i,j); rel_10 and the graph
+relations (i), (ii) read the table of vertex and edge letters, as rel_4 with
+i and j swapped over D = empty and the singletons of A.  The z form and the
+graph presentation list each relation once up to sign.  rel_5, rel_9, the
+z/u change of basis and identity_11_residual stay Poly arithmetic: the
+independent forms that the checks and tests compare the builder against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .complexes import Complex, Graph, NodeSet, _node_set
-from .free_algebra import MONOMIAL_CAP, Poly, Symbol, Word, commutator, symbol_key, u, z
+from .free_algebra import MONOMIAL_CAP, Poly, Symbol, commutator, symbol_key, u, z
 
 #: the most words one rel_4, rel_5 (2^(2|A|+2)) or rel_9 instance may have
 RELATION_WORD_CAP = 2 ** 18
@@ -51,17 +51,14 @@ class Presentation:
         for r in self.relations:
             if not r:
                 raise ValueError("zero polynomial is not a relation")
-            degree, stray = len(next(iter(r._terms))), set()
-            for w in r._terms:
-                if len(w) != degree:
-                    raise ValueError(f"inhomogeneous relation: {r}")
-                if not allowed.issuperset(w):
-                    stray.update(s for s in w if s not in allowed)
-            if not degree:
+            degrees = set(map(len, r._terms))
+            if len(degrees) > 1:
+                raise ValueError(f"inhomogeneous relation: {r}")
+            if not degrees.pop():
                 raise ValueError(f"constant relation: {r}")
+            stray = set().union(*r._terms) - allowed
             if stray:
-                s = sorted(stray, key=symbol_key)[0]
-                raise ValueError(f"relation symbol {s} is not in the alphabet")
+                raise ValueError(f"relation symbol {min(stray)} is not in the alphabet")
 
 
 def _check_instance_words(builder: str, log2_words: int) -> None:
@@ -118,25 +115,18 @@ def u_in_z(a: NodeSet, i: int) -> Poly:
                             for d in rest.subsets()}, a.n)
 
 
-def _quadratic(si: list[Symbol], sj: list[Symbol], sij: list[Symbol], n: int) -> Poly:
-    """[S_i,S_j] - S_ij(S_i - S_j), where S_i, S_j and S_ij sum the given
-    letters: those holding i but not j, j but not i, and both.  The four
-    products S_i S_j, S_ij S_j, S_j S_i and S_ij S_i have disjoint words (their
-    letters differ in which of i, j they hold), so every coefficient is +-1."""
-    terms: dict[Word, int] = {}
-    for left, right, c in ((si, sj, 1), (sij, sj, 1), (sj, si, -1), (sij, si, -1)):
-        for x in left:
-            for y in right:
-                terms[x, y] = c
-    return Poly._canonical(terms, n)
-
-
-def _rel_4_letters(masks: list[int], i: int, j: int, letter) -> list[list[Symbol]]:
-    """rel_4(A,i,j)'s letter lists u(D+j), u(D+i) and u(D+i+j) over the sets D
-    of the given bitmasks, in their order.  letter(mask) is the u letter of a
-    bitmask, or None for a letter set to zero, which the lists leave out."""
-    tops = (1 << j - 1, 1 << i - 1, 1 << i - 1 | 1 << j - 1)
-    return [[x for m in masks if (x := letter(m | t)) is not None] for t in tops]
+def _rel_4_over(masks: list[int], i: int, j: int, letter, n: int) -> Poly:
+    """rel_4(A,i,j) = (S_j + S_ij) S_i - (S_i + S_ij) S_j, where S_T sums the
+    letters u(D+T) over the sets D of the given bitmasks.  letter(mask) is the
+    u letter of a bitmask, or None for a letter set to zero, which the sums
+    leave out.  The four products have disjoint words (their letters differ in
+    which of i, j they hold), so every coefficient is +-1."""
+    bi, bj = 1 << i - 1, 1 << j - 1
+    sj, si, sij = ([x for m in masks if (x := letter(m | t)) is not None]
+                   for t in (bj, bi, bi | bj))
+    products = ((sj, si, 1), (sij, si, 1), (si, sj, -1), (sij, sj, -1))
+    return Poly._canonical({(x, y): c for left, right, c in products
+                            for x in left for y in right}, n)
 
 
 def rel_4(a: NodeSet, i: int, j: int) -> Poly:
@@ -145,8 +135,8 @@ def rel_4(a: NodeSet, i: int, j: int) -> Poly:
     _check_instance_words("rel_4", 2 * a.size + 2)
     _require_witnesses(a, i, j)
     # swapping i and j negates the quadratic
-    return _quadratic(*_rel_4_letters([d.bits for d in a.subsets()], i, j,
-                                      lambda m: u(_node_set(a.n, m))), a.n)
+    return _rel_4_over([d.bits for d in a.subsets()], i, j,
+                       lambda m: u(_node_set(a.n, m)), a.n)
 
 
 def _check_rel_4_words(n: int) -> None:
@@ -192,14 +182,6 @@ def _vertex_edge_letters(n: int, vertices, edges) -> dict[int, Symbol]:
     return {m: u(_node_set(n, m)) for m in masks}
 
 
-def _truncated(a, i: int, j: int, letters: dict[int, Symbol], n: int) -> Poly:
-    """R(A,i,j), A given by its nodes: rel_4(A,j,i) over a table of vertex and
-    edge letters, every other letter zero.  A letter u(D+T) with |D| >= 2 has
-    three nodes, so only D = empty and the singletons of A are listed."""
-    masks = [0] + [1 << k - 1 for k in a]
-    return _quadratic(*_rel_4_letters(masks, j, i, letters.get), n)
-
-
 def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
     """The quadratic element R(A,i,j): rel_5(A,i,j) = rel_4(A,j,i) with every
     u(S), |S| >= 3, set to zero, that is [P_i,P_j] - u(ij)(P_i - P_j) with
@@ -210,7 +192,8 @@ def rel_10(a: NodeSet, i: int, j: int, graph: Graph | None = None) -> Poly:
         raise ValueError(f"mixed universes: n={a.n} vs n={graph.n}")
     pairs = [(i, j)] + [(x, k) for k in a for x in (i, j)]
     edges = [e for e in pairs if graph is None or graph.has_edge(*e)]
-    return _truncated(a, i, j, _vertex_edge_letters(a.n, (i, j), edges), a.n)
+    letters = _vertex_edge_letters(a.n, (i, j), edges)
+    return _rel_4_over([0] + [1 << k - 1 for k in a], j, i, letters.get, a.n)
 
 
 def identity_11_residual(a: NodeSet, i: int, j: int, k: int) -> Poly:
@@ -258,8 +241,8 @@ def _u_form(n: int) -> tuple[tuple[Symbol, ...], tuple[Poly, ...]]:
     letter = {s.a.bits: s for s in alphabet}.__getitem__
     family: dict[tuple[int, int, int], Poly] = {}
     for a, i, j in _instances(n):
-        family[a.bits, i, j] = (-family[a.bits, j, i] if i > j else _quadratic(
-            *_rel_4_letters([d.bits for d in a.subsets()], i, j, letter), n))
+        family[a.bits, i, j] = (-family[a.bits, j, i] if i > j else _rel_4_over(
+            [d.bits for d in a.subsets()], i, j, letter, n))
     return alphabet, tuple(family.values())
 
 
@@ -296,10 +279,11 @@ def graph_presentation(g: Graph) -> Presentation:
     dropped, and so is any relation equal to an earlier one or its negation."""
     n, letters = g.n, _vertex_edge_letters(g.n, range(1, g.n + 1), g.edges)
     alphabet = tuple(sorted(letters.values(), key=symbol_key))
-    nodes = range(1, n + 1)
-    pair = {(i, j): _truncated((), i, j, letters, n) for i, j in combinations(nodes, 2)}
-    out = list(pair.values()) + [_truncated((k,), *ij, letters, n) - r
-                                 for ij, r in pair.items() for k in nodes if k not in ij]
+    nodes, get = range(1, n + 1), letters.get
+    pair = {(i, j): _rel_4_over([0], j, i, get, n) for i, j in combinations(nodes, 2)}
+    out = list(pair.values()) + [
+        _rel_4_over([0, 1 << k - 1], j, i, get, n) - r
+        for (i, j), r in pair.items() for k in nodes if k not in (i, j)]
     edges = [s for s in alphabet if s.a.size == 2]
     out += [commutator(Poly.from_symbol(e), Poly.from_symbol(f))
             for e, f in combinations(edges, 2) if not e.a.bits & f.a.bits]

@@ -266,6 +266,14 @@ class TestComplexValidation:
         with pytest.raises(ValueError, match=r"^face \{1\} has universe n=3, expected 2$"):
             Complex(2, frozenset(faces))
 
+    @pytest.mark.parametrize("faces, message", [
+        (frozenset({(1,)}), "face (1,) is not a NodeSet"),
+        ([NodeSet.of((1,), 2), NodeSet.of((2,), 2)], "faces must be a frozenset, got list"),
+    ], ids=["tuple-face", "list-of-faces"])
+    def test_rejects_malformed_faces(self, faces, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Complex(2, faces)
+
 
 class TestGraph:
     def test_from_edges_normalizes(self):
@@ -280,6 +288,15 @@ class TestGraph:
     def test_edge_must_be_ordered(self):
         with pytest.raises(ValueError, match=r"^edge \(2, 1\) must be an ordered pair i < j$"):
             Graph(3, frozenset({(2, 1)}))
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(1, 2)], "edges must be a frozenset, got list"),
+        (frozenset({(1, 2, 3)}), "edge (1, 2, 3) is not a pair (i, j)"),
+        (frozenset({1}), "edge 1 is not a pair (i, j)"),
+    ], ids=["list-of-edges", "triple-edge", "int-edge"])
+    def test_rejects_malformed_edges(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, edges)
 
     def test_from_complex_requires_dim_le_1(self):
         with pytest.raises(ValueError, match="dimension 2"):

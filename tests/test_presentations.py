@@ -677,6 +677,71 @@ class TestPresentations:
                 Presentation("bad", (a, b), (Poly(terms),))
 
 
+def _verdict_per_word(alphabet, relations):
+    """Presentation's verdict read word by word, independently of its code:
+    a duplicate letter first, then the first relation that breaks a rule,
+    and within that relation: zero, then words of two lengths, then the
+    empty word alone, then the smallest letter outside the alphabet."""
+    if len(set(alphabet)) != len(alphabet):
+        return "duplicate generator in alphabet"
+    for r in relations:
+        words = list(r.terms)
+        if not words:
+            return "zero polynomial is not a relation"
+        if any(len(w) != len(words[0]) for w in words):
+            return f"inhomogeneous relation: {r}"
+        if not words[0]:
+            return f"constant relation: {r}"
+        stray = [s for w in words for s in w if s not in alphabet]
+        if stray:
+            return f"relation symbol {sorted(stray, key=symbol_key)[0]} is not in the alphabet"
+    return None
+
+
+def test_presentation_refusal_matches_the_per_word_oracle():
+    """Random relation lists in which zero, inhomogeneous, constant and
+    stray-letter relations may each occur, in any position and together:
+    Presentation accepts or refuses, with the same message, as the oracle."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    pool = all_u_symbols(3)
+    coefficients = st.integers(-3, 3).filter(bool)
+
+    @st.composite
+    def drawn(draw):
+        alphabet = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        if draw(st.integers(0, 9)) == 0:
+            alphabet.append(draw(st.sampled_from(alphabet)))
+        relations = []
+        for _ in range(draw(st.integers(0, 4))):
+            letters = st.sampled_from(draw(st.sampled_from([alphabet, pool])))
+            degree = draw(st.integers(0, 3))
+            word = st.lists(letters, min_size=degree, max_size=degree)
+            if draw(st.booleans()):  # words of any length, so mixed ones too
+                word = st.lists(letters, max_size=3)
+            terms = draw(st.dictionaries(word.map(tuple), coefficients, max_size=4))
+            relations.append(Poly(terms))
+        return alphabet, relations
+
+    seen = set()
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(drawn())
+    def check(drawing):
+        alphabet, relations = drawing
+        try:
+            Presentation("drawn", tuple(alphabet), tuple(relations))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _verdict_per_word(alphabet, relations)
+        seen.add(got and got.split(" ")[0])
+
+    check()
+    # every verdict was reached: acceptance and each of the five refusals
+    assert seen == {None, "duplicate", "zero", "inhomogeneous", "constant", "relation"}
+
+
 # ---------------------------------------------------------------------------
 # oracle: the construction as it stood before Q_n's u form had one builder.
 # qF_presentation's output (labels, alphabets, relations and their order)
