@@ -208,6 +208,16 @@ def edges(c: Complex) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
+def _edge(e: object, n: int) -> tuple[int, int]:
+    """The tuple or list e = (i, j) of two vertices of 1..n as the pair
+    (min, max); anything else, or a loop, is refused."""
+    if not (isinstance(e, (tuple, list)) and len(e) == 2):
+        raise ValueError(f"edge {_vertex_text(e)} is not a pair (i, j)")
+    if NodeSet.of(e, n).size == 1:  # NodeSet checks each vertex
+        raise ValueError(f"edge ({e[0]},{e[1]}) is a loop")
+    return tuple(sorted(e))
+
+
 @dataclass(frozen=True)
 class Graph:
     """The 1-dimensional view of a complex: vertices 1..n plus edges."""
@@ -220,21 +230,13 @@ class Graph:
         if not isinstance(self.edges, frozenset):
             raise ValueError(f"edges must be a frozenset, got {type(self.edges).__name__}")
         for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 2):
-                raise ValueError(f"edge {_vertex_text(e)} is not a pair (i, j)")
-            i, j = e
-            NodeSet.of(e, self.n)  # NodeSet's checks of each vertex
-            if i >= j:
+            if _edge(e, self.n) != e:
                 raise ValueError(f"edge {e} must be an ordered pair i < j")
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple[int, int]], n: int) -> "Graph":
-        norm = set()
-        for i, j in pairs:
-            if i == j:
-                raise ValueError(f"edge ({i},{j}) is a loop")
-            norm.add((min(i, j), max(i, j)))
-        return cls(n, frozenset(norm))
+        NodeSet.full(n)
+        return cls(n, frozenset(_edge(e, n) for e in pairs))
 
     @classmethod
     def from_complex(cls, c: Complex) -> "Graph":

@@ -128,12 +128,6 @@ def symbol_key(s: Symbol) -> int:
     return int(s)
 
 
-def reversed_symbol_key(s: Symbol) -> int:
-    """An alternative total order (the canonical one reversed); results of the
-    quotient engine must not depend on which order is used."""
-    return -int(s)
-
-
 #: a word in the generators; the empty tuple is the unit monomial
 Word = tuple[Symbol, ...]
 #: a canonical term map: word -> nonzero ``exact`` coefficient

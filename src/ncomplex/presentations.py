@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .complexes import Complex, Graph, NodeSet, _node_set
-from .free_algebra import MONOMIAL_CAP, Poly, Symbol, commutator, symbol_key, u, z
+from .free_algebra import MONOMIAL_CAP, Poly, Symbol, commutator, u, z
 
 #: the most words one rel_4, rel_5 (2^(2|A|+2)) or rel_9 instance may have
 RELATION_WORD_CAP = 2 ** 18
@@ -230,14 +230,15 @@ def all_z_symbols(n: int) -> list[Symbol]:
 
 
 def _u_form(n: int) -> tuple[tuple[Symbol, ...], tuple[Poly, ...]]:
-    """The base algebra's u form: the sorted u alphabet and the rel_4 family
-    in _instances order, priced before any instance is built, from one table
-    of letters; (A,j,i), listed after (A,i,j), is its negation.  Q_n, Q_F and
-    the corollary check all read the family from here.  The (A,j,i) half
-    stays listed: Q_F hands the family to the engine, and perfbench's traced
-    anchor freezes qF P5's 73,346 degree-3 rows; it goes with Q_F over faces."""
+    """The base algebra's u form: the u alphabet in canonical order and the
+    rel_4 family in _instances order, priced before any instance is built,
+    from one table of letters; (A,j,i), listed after (A,i,j), is its
+    negation.  Q_n, Q_F and the corollary check all read the family from
+    here.  The (A,j,i) half stays listed: Q_F hands the family to the engine,
+    and perfbench's traced anchor freezes qF P5's 73,346 degree-3 rows; it
+    goes with Q_F over faces."""
     _check_rel_4_words(n)
-    alphabet = tuple(sorted(all_u_symbols(n), key=symbol_key))
+    alphabet = tuple(all_u_symbols(n))
     letter = {s.a.bits: s for s in alphabet}.__getitem__
     family: dict[tuple[int, int, int], Poly] = {}
     for a, i, j in _instances(n):
@@ -256,7 +257,7 @@ def qn_presentation(n: int, form: str) -> Presentation:
     if form == "u":
         return Presentation(f"Qn(n={n},form=u)", *_u_form(n))
     _check_rel_4_words(n)
-    alphabet = tuple(sorted(all_z_symbols(n), key=symbol_key))
+    alphabet = tuple(all_z_symbols(n))
     insts = [(a, i, j) for a, i, j in _instances(n) if i < j]
     relations = [rel_additive(*x) for x in insts] + [rel_multiplicative(*x) for x in insts]
     return Presentation(f"Qn(n={n},form=z)", alphabet, tuple(relations))
@@ -277,8 +278,8 @@ def graph_presentation(g: Graph) -> Presentation:
     R(empty,i,j), i < j; (ii) R({k},i,j) - R(empty,i,j), i < j and k outside
     {i,j}; (iii) the commutators [u(ij),u(kl)] of disjoint edges.  Zeros are
     dropped, and so is any relation equal to an earlier one or its negation."""
-    n, letters = g.n, _vertex_edge_letters(g.n, range(1, g.n + 1), g.edges)
-    alphabet = tuple(sorted(letters.values(), key=symbol_key))
+    n, letters = g.n, _vertex_edge_letters(g.n, range(1, g.n + 1), g.sorted_edges())
+    alphabet = tuple(letters.values())
     nodes, get = range(1, n + 1), letters.get
     pair = {(i, j): _rel_4_over([0], j, i, get, n) for i, j in combinations(nodes, 2)}
     out = list(pair.values()) + [

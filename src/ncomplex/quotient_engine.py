@@ -42,10 +42,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .complexes import _require_int
-from .free_algebra import Poly, Rational, Symbol, Word, _check_word_count, exact, symbol_key
+from .free_algebra import Poly, Rational, Symbol, Word, _check_word_count, exact
 from .presentations import Presentation
 
 #: refuse slices whose spanning rows would hold more nonzeros than this
@@ -127,12 +126,7 @@ class SliceStats:
     """Per degree, for the presentation as given: ``rows_generated`` is the
     size of its spanning set, the sum over relations g of
     (e - deg g + 1) * k^(e - deg g) with k the given alphabet's size;
-    ``rows_reduced`` counts the rows actually passed to ``Echelon.insert``:
-    the products g * m2 that are not right shifts of dependent rows, nor
-    have m2 the pivot of a row h of slice e - deg g (g * m2 = g * h - sum
-    over w < m2 of h_w * g * w, g * h copied and each g * w earlier), for
-    every relation but the kills, read over the letters they leave; the
-    letter shifts of the degree below's rows are copied, not inserted;
+    ``rows_reduced`` counts the rows passed to ``Echelon.insert``;
     ``rank`` is the rank of the full ideal's slice, k^e minus the
     quotient dimension."""
     rows_generated: int
@@ -143,22 +137,19 @@ class SliceStats:
 class TruncatedIdealBasis:
     """Echelonized spanning sets of the ideal's degree slices up to a bound.
 
-    The monomial order is degree-first, then lexicographic by ``key`` on the
-    symbols; pass a different ``key`` to re-run under another order (results
-    of rank, dimension and membership must agree).
+    The monomial order is degree-first, then lexicographic in the canonical
+    order of the letters, the order in which Symbols sort.
 
     ``letters`` and ``k`` are the letters that no single-word degree-1
-    relation kills, over which ``slices`` are built; ``stats[e].rows_reduced``
-    counts the rows passed to ``Echelon.insert`` at degree e.
+    relation kills, over which ``slices`` are built.
     """
 
-    def __init__(self, presentation: Presentation, max_degree: int,
-                 key: Callable[[Symbol], int] = symbol_key):
+    def __init__(self, presentation: Presentation, max_degree: int):
         _require_int("max_degree", max_degree)
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.max_degree = max_degree
-        letters = sorted(presentation.alphabet, key=key)
+        letters = sorted(presentation.alphabet)
         k = len(letters)
         _check_word_count(k, max_degree)
         # a Presentation's relations are nonzero and homogeneous, so any one
@@ -204,12 +195,7 @@ class TruncatedIdealBasis:
                      ) -> tuple[Echelon, int, list[bytearray]]:
         """Echelon of the degree-e slice over ``letters``, the number of
         rows inserted, and per relation the dependent flags of its rows
-        g * m2, by m2; ``parents`` holds the flags of degree e-1.  A skipped
-        g * m2' * y lies in V * I_(e-2) * y, inside the copied rows, plus
-        the right shifts of the rows before g * m2', which come before it.
-        A g * m2 with m2 the pivot of a row h of slice e - deg g is skipped:
-        g * m2 = g * h - sum over w < m2 of h_w * g * w, g * h lies in the
-        copied rows, and each g * w came earlier in this loop."""
+        g * m2, by m2; ``parents`` holds the flags of degree e-1."""
         ech = Echelon()
         k = self.k
         if e:
@@ -265,9 +251,9 @@ class TruncatedIdealBasis:
         if deg is None:
             return Poly.zero()
         self._check_degree(deg)
-        unknown = [s for w in q._terms for s in w if s not in self._alphabet]
-        if unknown:
-            raise ValueError(f"symbol {unknown[0]} is not in the presentation's alphabet")
+        stray = set().union(*q._terms) - self._alphabet
+        if stray:
+            raise ValueError(f"symbol {min(stray)} is not in the presentation's alphabet")
         rem = self.slices[deg].reduce(self._vector(q))
         return Poly._canonical({_index_word(c, self.letters, deg): exact(x)
                                 for c, x in rem.items()}, q._n)
@@ -300,7 +286,6 @@ class TruncatedIdealBasis:
                 for i in range(self.k ** e) if i not in piv]
 
 
-def graded_dimension(p: Presentation, d: int,
-                     key: Callable[[Symbol], int] = symbol_key) -> list[int]:
+def graded_dimension(p: Presentation, d: int) -> list[int]:
     """Quotient dimensions at degrees 0..d."""
-    return TruncatedIdealBasis(p, d, key=key).dimensions()
+    return TruncatedIdealBasis(p, d).dimensions()

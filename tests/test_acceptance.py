@@ -25,9 +25,7 @@ from ncomplex.complexes import (
 from ncomplex.free_algebra import (
     Poly,
     poly_text,
-    reversed_symbol_key,
     substitute,
-    symbol_key,
     u,
     z,
 )
@@ -46,6 +44,7 @@ from ncomplex.verifier import (
     check_eq3_welldefined,
     check_proposition,
 )
+from test_quotient_engine import relabelled, reversed_key
 
 GRAPH_FAMILY = [
     ("K2", complete_graph(2)),
@@ -193,8 +192,8 @@ def test_criterion_11_engine_properties():
                      qF_presentation(closure([{1, 2}, {2, 3}], 3)),
                      graph_presentation(path_graph(3))]
     for pres in presentations:
-        assert (graded_dimension(pres, 3, key=symbol_key)
-                == graded_dimension(pres, 3, key=reversed_symbol_key)), pres.label
+        assert (graded_dimension(pres, 3)
+                == graded_dimension(relabelled(pres, reversed_key), 3)), pres.label
 
     pres = qF_presentation(closure([{1, 2}, {2, 3}], 3))
     runs = []

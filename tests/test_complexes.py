@@ -298,6 +298,18 @@ class TestGraph:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Graph(3, edges)
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([(1, 2, 3)], "edge (1, 2, 3) is not a pair (i, j)"),
+        ([1], "edge 1 is not a pair (i, j)"),
+        ([("a", 2)], "vertex 'a' is not an integer"),
+    ], ids=["triple", "int", "str-vertex"])
+    def test_from_edges_rejects_malformed_pairs(self, pairs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph.from_edges(pairs, 3)
+
+    def test_from_edges_takes_lists_and_either_order(self):
+        assert Graph.from_edges([[1, 2], (3, 2)], 3).sorted_edges() == [(1, 2), (2, 3)]
+
     def test_from_complex_requires_dim_le_1(self):
         with pytest.raises(ValueError, match="dimension 2"):
             Graph.from_complex(closure([{1, 2, 3}], 3))

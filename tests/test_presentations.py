@@ -601,6 +601,14 @@ class TestPresentations:
         assert [str(s) for s in p.alphabet] == ["u({1})", "u({2})", "u({1,2})"]
         assert list(p.relations) == [rel_4(ns(n=2), 1, 2), rel_4(ns(n=2), 2, 1)]
 
+    def test_alphabets_are_listed_in_canonical_order(self):
+        # the builders list their letters in the order Symbols sort, unsorted
+        built = [qn_presentation(n, form) for n in range(1, 6) for form in "zu"]
+        built += [qF_presentation(c) for n in range(1, 5) for c in enumerate_complexes(n)]
+        built += [graph_presentation(g) for n in range(1, 5) for g in all_graphs(n)]
+        for p in built:
+            assert list(p.alphabet) == sorted(p.alphabet), p.label
+
     def test_rel_4_family_priced_at_the_cap(self):
         # 4 * 8 * 7 * 5^6 = 3,500,000 words fit; 4 * 9 * 8 * 5^7 = 22,500,000
         # do not, and are refused without building an instance
