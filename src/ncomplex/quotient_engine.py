@@ -18,14 +18,15 @@ words, dimensions, quotient bases and remainders are those of the full
 ideal.  Every other relation, of degree 1 or more, spans its rows g * m2
 like any other.
 
-Each slice first stores x * r for every letter x and stored row r of the
-degree below, without reducing them: a shift keeps each pivot its row's
-largest column, and the pivots stay distinct.  Only the products g * m2 are
-then reduced, and one is skipped as dependent when it is a right shift
-r * y of a row r found dependent at the degree below, as it depends on the
-rows before it too, or when m2 is the pivot (tip) of a row h of slice
-e - deg g: g * m2 = g * h - sum over w < m2 of h_w * g * w, g * h lies in
-V * I_(e-1), which the copied shifts span, and each g * w came earlier.
+Each slice stores only the rows it inserts and links to the slice below:
+a letter shift x * r of a row r spanned there is read through the column's
+suffix, the column less its leading letter, and keeps each pivot its row's
+largest column, so the pivots stay distinct.  Only the products g * m2 are
+inserted, and one is skipped as dependent when it is a right shift r * y of
+a row r found dependent at the degree below, as it depends on the rows
+before it too, or when m2 is the pivot (tip) of a row h of slice e - deg g:
+g * m2 = g * h - sum over w < m2 of h_w * g * w, g * h lies in V * I_(e-1),
+which the shifts span, and each g * w came earlier.
 
 Reduction pushes only pivot columns onto its heap.  Every row's other
 entries lie below its pivot, so the columns pop in descending order, a
@@ -56,37 +57,51 @@ Vector = dict[int, Rational]
 class Echelon:
     """Sparse row store in triangular form: one row per pivot column, each
     row's pivot being its largest column, scaled so the pivot entry is 1.
-    Integral entries are stored as int and all others as Fraction."""
+    Integral entries are stored as int and all others as Fraction.
+    ``pivots`` holds the rows inserted here.  Linked to the slice ``below``
+    of k letters, the store also spans x * r for each letter x and row r
+    spanned below; ``columns`` holds every pivot column, shifts' included."""
 
-    __slots__ = ("pivots",)
+    __slots__ = ("pivots", "columns", "below", "words")
 
-    def __init__(self):
+    def __init__(self, below: Echelon | None = None, k: int = 1):
         self.pivots: dict[int, Vector] = {}
+        self.below = below
+        self.words = 1 if below is None else k * below.words  # k^degree
+        self.columns = set() if below is None else {
+            c + base for c in below.columns for base in range(0, self.words, below.words)}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.columns)
 
     def reduce(self, vec: Vector) -> Vector:
-        """Normal form of vec modulo the stored row space (vec is not
+        """Normal form of vec modulo the spanned row space (vec is not
         mutated), supported off the pivot columns.  Only pivot columns enter
         the heap: a row's other entries lie below its pivot, so columns pop
         in descending order and a popped column never reappears."""
-        pivots = self.pivots
+        pivots, columns = self.pivots, self.columns
         v = dict(vec)
-        heap = [-c for c in v if c in pivots]
+        heap = [-c for c in v if c in columns]
         heapq.heapify(heap)
         while heap:
             col = -heapq.heappop(heap)
             coef = v.pop(col, None)
             if coef is None:  # cancelled, or pushed again once refilled
                 continue
-            for c2, x in pivots[col].items():
+            row, piv = pivots.get(col), col
+            if row is None:  # a letter shift x * r, r stored at a suffix of col
+                ech = self.below
+                while (row := ech.pivots.get(piv := piv % ech.words)) is None:
+                    ech = ech.below
+            off = col - piv
+            for c2, x in row.items():
+                c2 += off
                 if c2 == col:
                     continue
                 acc = v.get(c2, 0) - coef * x
                 if acc:
-                    if c2 not in v and c2 in pivots:
+                    if c2 not in v and c2 in columns:
                         heapq.heappush(heap, -c2)
                     v[c2] = acc
                 else:
@@ -109,6 +124,7 @@ class Echelon:
             inv = -1 if p == -1 else 1 / Fraction(p)
             r = {c: exact(x * inv) for c, x in r.items()}
         self.pivots[lead] = r
+        self.columns.add(lead)
         return True
 
 
@@ -141,7 +157,9 @@ class TruncatedIdealBasis:
     order of the letters, the order in which Symbols sort.
 
     ``letters`` and ``k`` are the letters that no single-word degree-1
-    relation kills, over which ``slices`` are built.
+    relation kills, over which ``slices`` are built.  Each slice stores only
+    the rows it inserted and reads the letter shifts of the lower slices,
+    through its link, by the column's suffix.
     """
 
     def __init__(self, presentation: Presentation, max_degree: int):
@@ -179,7 +197,9 @@ class TruncatedIdealBasis:
             if deg <= max_degree:
                 vec = self._vector(r)
                 if vec:
-                    self._relations.append((deg, list(vec.items())))
+                    # signs change no stored row; a positive lead keeps most pivots 1
+                    sign = -1 if vec[max(vec)] < 0 else 1
+                    self._relations.append((deg, [(c, sign * x) for c, x in vec.items()]))
         self.slices: list[Echelon] = []
         self.stats: list[SliceStats] = []
         dependent: list[bytearray] = []
@@ -196,13 +216,8 @@ class TruncatedIdealBasis:
         """Echelon of the degree-e slice over ``letters``, the number of
         rows inserted, and per relation the dependent flags of its rows
         g * m2, by m2; ``parents`` holds the flags of degree e-1."""
-        ech = Echelon()
         k = self.k
-        if e:
-            step = k ** (e - 1)
-            for piv, row in self.slices[e - 1].pivots.items():
-                for base in range(0, k * step, step):
-                    ech.pivots[base + piv] = {base + c: x for c, x in row.items()}
+        ech = Echelon(self.slices[e - 1], k) if e else Echelon()
         reduced = 0
         dependent = []
         for t, (e0, coords) in enumerate(self._relations):
@@ -213,7 +228,7 @@ class TruncatedIdealBasis:
             # its parent g * m2' with m2 = m2' * y has index m2 div k
             shifted = [(col * n, c) for col, c in coords]
             parent = parents[t] if t < len(parents) else b"\0"  # deg g = e: no parent
-            tips = self.slices[e - e0].pivots  # e0 >= 1: a slice already built
+            tips = self.slices[e - e0].columns  # e0 >= 1: a slice already built
             flags = bytearray(n)
             for m2 in range(n):
                 if not parent[m2 // k] and m2 not in tips:
@@ -281,7 +296,7 @@ class TruncatedIdealBasis:
     def quotient_basis(self, e: int) -> list[Word]:
         """The non-pivot words at degree e, in canonical order."""
         self._check_degree(e)
-        piv = self.slices[e].pivots
+        piv = self.slices[e].columns
         return [_index_word(i, self.letters, e)
                 for i in range(self.k ** e) if i not in piv]
 

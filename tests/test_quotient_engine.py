@@ -9,17 +9,23 @@ agree with it on every tested presentation.
 A second oracle, ``reduce_every_product``, is the slice construction that
 passes every spanning product through ``Echelon.insert`` over the alphabet as
 given.  The engine drops the letters that single-word degree-1 relations
-kill, copies the rows of the degree below shifted by a letter, and inserts
+kill, stores in each slice only the rows it inserts, reads the letter shifts
+of the rows of the slices below through the column's suffix, and inserts
 only the products g * m2, of every other relation, that are neither right
 shifts of dependent rows nor products whose m2 is a pivot column (a tip) of
 the slice e - deg g; it must have the same ranks, the same pivot words once
 its own are lifted back to the given alphabet, and the same remainders, and
-each slice must hold the letter shifts of the rows stored at the degree
-below.
+each slice must span the letter shifts of the rows of the degree below.
 
-A third oracle, ``RightShiftOnly``, is the engine without the tip rule.  A
-skipped product is dependent, so the engine must store exactly its rows,
-entry for entry and type for type, with the same dims and remainders.
+``expanded_rows`` rebuilds a slice's full row set, its own rows plus the
+letter shifts of the lower slices, and the last two oracles are read
+through it.  ``CopiedShifts`` is the engine as it was before the slices
+linked to the slice below: each slice first copies those shifts, entry by
+entry, and the relations keep the signs they are given.  ``RightShiftOnly``
+is ``CopiedShifts`` without the tip rule.  A skipped product is dependent
+and a re-signed relation spans the same rows, so the engine's expanded rows
+must be exactly theirs, entry for entry and type for type, with the same
+dims and remainders.
 """
 
 import hashlib
@@ -100,16 +106,39 @@ K4_123 = closure([[1, 2, 3]] + [[i, j] for i in range(1, 5) for j in range(i + 1
 
 
 def stored_entries(echelons):
+    """The entries of the rows each echelon stores itself."""
     return [x for ech in echelons for row in ech.pivots.values() for x in row.values()]
 
 
+def expanded_rows(basis, e):
+    """Slice e's full row set, pivot -> row: the rows it stores and, when it
+    links to the slice below, the letter shift x * r of every row r of the
+    full set of slice e - 1, for each of the k letters x."""
+    ech = basis.slices[e]
+    rows = dict(ech.pivots)
+    if ech.below is not None:
+        step = basis.k ** (e - 1)
+        for piv, row in expanded_rows(basis, e - 1).items():
+            for base in range(0, basis.k * step, step):
+                rows[base + piv] = {base + c: x for c, x in row.items()}
+    return rows
+
+
+def expanded_entries(basis):
+    """The entries of every slice's full row set."""
+    return [x for e in range(basis.max_degree + 1)
+            for row in expanded_rows(basis, e).values() for x in row.values()]
+
+
 def row_digest(basis):
-    """sha256 over every stored row as (degree, pivot, sorted (column,
-    str(Fraction(x)))): equal digests mean equal rows, whatever the types."""
+    """sha256 over every slice's full row set as (degree, pivot, sorted
+    (column, str(Fraction(x)))): equal digests mean equal rows, whatever the
+    types."""
     h = hashlib.sha256()
-    for e, ech in enumerate(basis.slices):
-        for piv in sorted(ech.pivots):
-            row = ech.pivots[piv]
+    for e in range(basis.max_degree + 1):
+        rows = expanded_rows(basis, e)
+        for piv in sorted(rows):
+            row = rows[piv]
             h.update(repr((e, piv, sorted((c, str(Fraction(x)))
                                           for c, x in row.items()))).encode())
     return h.hexdigest()
@@ -306,7 +335,7 @@ def reduce_every_product(pres, d):
 def rows_reduced_bounded(basis):
     """The rows inserted into each slice are at most the rows generated over
     the given alphabet, and the slice's rank is at most the k * rank(e-1)
-    rows copied from the degree below plus the rows inserted."""
+    letter shifts of the degree below plus the rows inserted."""
     ranks = [0] + [ech.rank for ech in basis.slices]
     return all(s.rows_reduced <= s.rows_generated
                and ranks[e + 1] <= basis.k * ranks[e] + s.rows_reduced
@@ -314,15 +343,32 @@ def rows_reduced_bounded(basis):
 
 
 def assert_shifts_stored(basis):
-    """For each e >= 1, x * r is a stored row of slice e, entry for entry and
-    type for type, for every letter x of the engine and stored row r of slice
-    e-1."""
-    for e in range(1, basis.max_degree + 1):
+    """For each e >= 1, x * r is a row of slice e's full set, entry for entry
+    and type for type, for every letter x of the engine and row r of slice
+    e-1's full set, and slice e reduces it to zero.  Each slice's pivot
+    columns are those of its full set."""
+    for e in range(basis.max_degree + 1):
+        rows = expanded_rows(basis, e)
+        assert basis.slices[e].columns == rows.keys(), e
+        if not e:
+            continue
         step = basis.k ** (e - 1)
-        stored = basis.slices[e].pivots
-        for piv, row in basis.slices[e - 1].pivots.items():
+        for piv, row in expanded_rows(basis, e - 1).items():
             for base in range(0, basis.k * step, step):
-                assert typed(stored.get(base + piv, {})) == typed(row, base), (e, piv)
+                assert typed(rows.get(base + piv, {})) == typed(row, base), (e, piv)
+                assert not basis.slices[e].reduce(rows[base + piv]), (e, piv)
+
+
+def assert_only_own_rows(basis):
+    """For each e >= 1, slice e links to slice e - 1 and stores only the
+    rows it inserted: as many as its rank exceeds the k * rank(e-1) letter
+    shifts of the degree below, none of them at a pivot that is a letter
+    shift of a lower pivot (a column whose suffix is a pivot of e - 1)."""
+    for e in range(1, basis.max_degree + 1):
+        ech, below = basis.slices[e], basis.slices[e - 1]
+        assert ech.below is below, e
+        assert len(ech.pivots) == ech.rank - basis.k * below.rank, e
+        assert not [piv for piv in ech.pivots if piv % basis.k ** (e - 1) in below.columns], e
 
 
 def assert_same_construction(pres, d, key):
@@ -330,10 +376,11 @@ def assert_same_construction(pres, d, key):
     rows generated, full ranks and dimensions; equal pivot words, the
     engine's lifted to the given alphabet together with every word that
     holds a killed letter; equal remainders of up to 300 words and of
-    one query with many terms.  Each slice holds the letter shifts of the
-    rows stored at the degree below, and the engine's letters are the
-    alphabet less the letters of the single-word degree-1 relations.  All of
-    it is read on pres relabelled so that the canonical order is key's."""
+    one query with many terms.  Each slice stores only its own rows and
+    spans the letter shifts of the rows of the degree below, and the
+    engine's letters are the alphabet less the letters of the single-word
+    degree-1 relations.  All of it is read on pres relabelled so that the
+    canonical order is key's."""
     pres = relabelled(pres, key)
     basis = TruncatedIdealBasis(pres, d)
     oracle = reduce_every_product(pres, d)
@@ -346,7 +393,7 @@ def assert_same_construction(pres, d, key):
     for e in range(d + 1):
         words = list(product(letters, repeat=e))  # in column order
         column = {w: col for col, w in enumerate(words)}
-        lifted = {column[_index_word(c, basis.letters, e)] for c in basis.slices[e].pivots}
+        lifted = {column[_index_word(c, basis.letters, e)] for c in expanded_rows(basis, e)}
         lifted |= {col for col, w in enumerate(words) if not survivors.issuperset(w)}
         assert lifted == set(oracle.slices[e].pivots), e
 
@@ -358,6 +405,7 @@ def assert_same_construction(pres, d, key):
         dense = {col: Fraction(col % 5 - 2, col % 3 + 1) for col in sample if col % 5 != 2}
         assert basis.reduce(Poly({words[c]: x for c, x in dense.items()})) == remainder(dense)
     assert_shifts_stored(basis)
+    assert_only_own_rows(basis)
     killed = {w[0] for g in pres.relations if g.degree() == 1 and len(g.terms) == 1
               for w in g.terms}
     assert basis.letters == [s for s in letters if s not in killed]
@@ -438,22 +486,34 @@ class TestAgainstReduceEveryProduct:
 
 
 # ---------------------------------------------------------------------------
-# right-shift-only oracle
+# copied-shifts and right-shift-only oracles
 # ---------------------------------------------------------------------------
 
-class RightShiftOnly(TruncatedIdealBasis):
-    """The engine before its tip rule: ``_build_slice`` skips only the right
-    shifts of rows found dependent at the degree below, so it also reduces
-    every product g * m2 whose m2 is a pivot column of slice e - deg g."""
+class CopiedShifts(TruncatedIdealBasis):
+    """The engine before its slices linked to the slice below:
+    ``_build_slice`` first copies into an unlinked Echelon, entry by entry,
+    x * r for every letter x and row r of the degree below, and the relation
+    vectors keep the signs that the presentation gives them."""
+
+    tip_rule = True
+
+    def __init__(self, presentation, max_degree):
+        self.given = presentation
+        super().__init__(presentation, max_degree)
 
     def _build_slice(self, e, parents):
-        ech = Echelon()
         k = self.k
+        if not e:  # the relation vectors as given, sorted by degree
+            rels = sorted(self.given.relations, key=Poly.degree)
+            self._relations = [(g.degree(), list(vec.items())) for g in rels
+                               if g.degree() <= self.max_degree and (vec := self._vector(g))]
+        ech = Echelon()
         if e:
             step = k ** (e - 1)
-            for piv, row in self.slices[e - 1].pivots.items():
+            for piv, row in expanded_rows(self, e - 1).items():
                 for base in range(0, k * step, step):
                     ech.pivots[base + piv] = {base + c: x for c, x in row.items()}
+            ech.columns.update(ech.pivots)
         reduced = 0
         dependent = []
         for t, (e0, coords) in enumerate(self._relations):
@@ -462,9 +522,10 @@ class RightShiftOnly(TruncatedIdealBasis):
             n = k ** (e - e0)
             shifted = [(col * n, c) for col, c in coords]
             parent = parents[t] if t < len(parents) else b"\0"
+            tips = self.slices[e - e0].pivots if self.tip_rule else ()
             flags = bytearray(n)
             for m2 in range(n):
-                if not parent[m2 // k]:
+                if not parent[m2 // k] and m2 not in tips:
                     reduced += 1
                     if ech.insert({m2 + col: c for col, c in shifted}):
                         continue
@@ -473,9 +534,27 @@ class RightShiftOnly(TruncatedIdealBasis):
         return ech, reduced, dependent
 
 
+class RightShiftOnly(CopiedShifts):
+    """``CopiedShifts`` before its tip rule: ``_build_slice`` skips only the
+    right shifts of rows found dependent at the degree below, so it also
+    reduces every product g * m2 whose m2 is a pivot column of slice
+    e - deg g."""
+
+    tip_rule = False
+
+
+def assert_same_rows(basis, oracle):
+    """basis and oracle have equal full row sets in every slice, entry for
+    entry and type for type."""
+    for e in range(basis.max_degree + 1):
+        rows, expected = expanded_rows(basis, e), expanded_rows(oracle, e)
+        assert rows.keys() == expected.keys(), e
+        assert all(typed(rows[p]) == typed(row) for p, row in expected.items()), e
+
+
 def assert_tip_rule_keeps_rows(pres, d, key):
-    """The engine against ``RightShiftOnly`` at every degree: equal stored
-    rows, entry for entry and type for type (so equal pivot sets), equal
+    """The engine against ``RightShiftOnly`` at every degree: equal full
+    row sets, entry for entry and type for type (so equal pivot sets), equal
     dims, ranks and rows generated, equal remainders of up to 50 words and
     of one query with many terms, and no more rows reduced, on pres
     relabelled so that the canonical order is key's."""
@@ -486,11 +565,10 @@ def assert_tip_rule_keeps_rows(pres, d, key):
     assert [(s.rows_generated, s.rank) for s in basis.stats] == \
         [(s.rows_generated, s.rank) for s in oracle.stats]
     assert all(s.rows_reduced <= t.rows_reduced for s, t in zip(basis.stats, oracle.stats))
+    assert_same_rows(basis, oracle)
+    assert_only_own_rows(basis)
     letters = sorted(pres.alphabet)
     for e in range(d + 1):
-        rows, expected = basis.slices[e].pivots, oracle.slices[e].pivots
-        assert rows.keys() == expected.keys(), e
-        assert all(typed(rows[p]) == typed(row) for p, row in expected.items()), e
         rng = random.Random(e)
         words = [tuple(rng.choice(letters) for _ in range(e)) for _ in range(50)]
         for w in words:
@@ -690,12 +768,12 @@ class TestEngineProperties:
          [Fraction(1, 2), 3]),
     ], ids=["Q3-u", "graph-C4", "qF-K4+123"])
     def test_stored_rows_frozen(self, pres, d, fractions, expected, remainder):
-        # the digests freeze the rows stored when each slice copies the
-        # letter shifts of the degree below, and how many entries are
+        # the digests freeze each slice's full row set, its own rows and
+        # the letter shifts of the slices below, and how many entries are
         # Fractions (the others are ints); the remainder's values are those
         # of the all-Fraction Poly, each an int where integral
         basis = TruncatedIdealBasis(pres, d)
-        entries = stored_entries(basis.slices)
+        entries = expanded_entries(basis)
         assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
                    for x in entries)
         assert sum(type(x) is Fraction for x in entries) == fractions
@@ -705,6 +783,20 @@ class TestEngineProperties:
         rem = basis.reduce(Poly({(x, y, x, y)[:d]: Fraction(1, 2), (y, y, x, x)[:d]: 3}))
         assert sorted(rem.terms.values()) == remainder
         assert_canonical(rem)
+
+    @pytest.mark.parametrize("pres,rows,entries", [
+        (qn_presentation(3, "u"), [0, 0, 5, 34, 213], 1904),
+        (graph_presentation(cycle_graph(4)), [0, 0, 16, 120, 705], 4319),
+    ], ids=["Q3-u", "graph-C4"])
+    def test_slices_store_only_their_own_rows(self, pres, rows, entries):
+        # each slice stores only the rows it inserted, per degree the rank
+        # less k times the rank below; CopiedShifts copies a further 518
+        # rows of 3,808 entries for Q3-u and 2,112 of 7,488 for C4
+        basis = TruncatedIdealBasis(pres, 4)
+        assert [len(ech.pivots) for ech in basis.slices] == rows
+        assert len(stored_entries(basis.slices)) == entries
+        assert_only_own_rows(basis)
+        assert_shifts_stored(basis)
 
     def test_cancelled_columns_refilled(self):
         # the row at 5 cancels the query's pivot column 3 and its non-pivot
@@ -756,7 +848,7 @@ class TestEngineProperties:
         # ideal according to the dense oracle
         pres = qF_presentation(closure([{1, 2}, {2, 3}], 3))
         basis = TruncatedIdealBasis(pres, 2)
-        items = sorted(basis.slices[2].pivots.items())
+        items = sorted(expanded_rows(basis, 2).items())
         rng = random.Random(23)
         for _, row in rng.sample(items, min(10, len(items))):
             q = Poly({_index_word(c, basis.letters, 2): x for c, x in row.items()})

@@ -1,22 +1,29 @@
 """Property tests of the slice construction on random homogeneous
 presentations, against the construction that reduces every spanning product
 over the alphabet as given: the engine, which drops the letters that
-single-word degree-1 relations kill, copies the letter shifts of the rows
-stored at the degree below and inserts only the products g * m2, of every
-other relation, degree 1 included, that are neither right shifts of
-dependent rows nor g * m2 with m2 a pivot of the slice e - deg g, must have
-the same ranks, lifted pivot words and remainders, its letters must be the
-alphabet less the killed ones, and each slice must hold those letter shifts.
-Against ``RightShiftOnly``, the engine without that pivot (tip) rule, it
-must store the same rows, entry for entry and type for type; the relations
-here have degrees 1-3, so the rule reads slices e - 1 to e - 3.  Each of
-these runs in the canonical order and in its reverse, on the presentation
-with its letters renamed; renamed to put its letters in any drawn order, a
-presentation must keep its dims, ranks and membership verdicts.
+single-word degree-1 relations kill, stores in each slice only the rows it
+inserts, reads the letter shifts of the rows of the slices below through the
+column's suffix, and inserts only the products g * m2, of every other
+relation, degree 1 included, that are neither right shifts of dependent rows
+nor g * m2 with m2 a pivot of the slice e - deg g, must have the same ranks,
+lifted pivot words and remainders, its letters must be the alphabet less the
+killed ones, and each slice must span those letter shifts.  Against
+``RightShiftOnly``, the copying engine without that pivot (tip) rule, its
+slices expanded by their letter shifts must hold the same rows, entry for
+entry and type for type; the relations here have degrees 1-3, so the rule
+reads slices e - 1 to e - 3.  Each of these runs in the canonical order and
+in its reverse, on the presentation with its letters renamed; renamed to put
+its letters in any drawn order, a presentation must keep its dims, ranks and
+membership verdicts.  Against ``CopiedShifts``, the copying engine that keeps
+each relation's sign, relations scaled by drawn factors of either sign,
+Fractions included, must give the same expanded rows, dims, quotient bases
+and remainders.
 
 The elimination kernel itself, ``Echelon.insert`` and ``Echelon.reduce``, is
 checked on random triangular stores against ``reference_reduce``, the
 kernel as first written, which heaps every column of the vector."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -29,7 +36,10 @@ from ncomplex.presentations import Presentation, all_u_symbols  # noqa: E402
 from ncomplex.quotient_engine import TruncatedIdealBasis  # noqa: E402
 from test_free_algebra import assert_canonical  # noqa: E402
 from test_quotient_engine import (  # noqa: E402
+    CopiedShifts,
     assert_kernel_matches_reference,
+    assert_only_own_rows,
+    assert_same_rows,
     assert_same_construction,
     assert_tip_rule_keeps_rows,
     reference_insert,
@@ -176,6 +186,53 @@ def test_any_letter_order_gives_the_same_quotient(case, data):
             member = member + m1 * g * m2
     for query in (q, member, q + member):
         assert basis.contains(query) == renamed.contains(rename(query, letters))
+
+
+#: leading coefficients a relation is scaled to: unit, non-unit and
+#: Fraction, of either sign
+scales = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def rescaled_presentations(draw):
+    """A presentation from either strategy with each relation scaled by a
+    drawn factor, and 0-2 single-word kills, each scaled, appended."""
+    pres, d = draw(st.one_of(presentations(), eliminating_presentations()))
+    kills = draw(st.lists(st.sampled_from(pres.alphabet), max_size=2, unique=True))
+    rels = [draw(scales) * g for g in pres.relations]
+    rels += [draw(scales) * Poly.from_symbol(s) for s in kills]
+    return Presentation("rescaled", pres.alphabet, tuple(rels)), d
+
+
+def typed_terms(q):
+    return {w: (type(c), c) for w, c in q.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rescaled_presentations(), st.data())
+def test_linked_slices_match_copied_shifts(case, data):
+    """The engine, whose slices store only their own rows and whose relations
+    are re-signed to a positive lead, against ``CopiedShifts``: equal stats,
+    expanded rows entry for entry and type for type, dims, quotient bases,
+    and remainders of a drawn query and of a member plus it."""
+    pres, d = case
+    basis, oracle = TruncatedIdealBasis(pres, d), CopiedShifts(pres, d)
+    assert basis.stats == oracle.stats
+    assert basis.dimensions() == oracle.dimensions()
+    assert_same_rows(basis, oracle)
+    assert_only_own_rows(basis)
+    alphabet = list(pres.alphabet)
+    for e in range(d + 1):
+        assert basis.quotient_basis(e) == oracle.quotient_basis(e)
+        q = polys(data.draw, alphabet, e)
+        member = Poly.zero()
+        for g in pres.relations:
+            if g.degree() <= e:
+                a = data.draw(st.integers(0, e - g.degree()))
+                member = member + (polys(data.draw, alphabet, a) * g
+                                   * polys(data.draw, alphabet, e - g.degree() - a))
+        for query in (q, q + member):
+            assert typed_terms(basis.reduce(query)) == typed_terms(oracle.reduce(query))
 
 
 entries = st.one_of(st.integers(-3, 3), coefficients).filter(bool)
