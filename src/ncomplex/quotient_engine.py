@@ -22,11 +22,17 @@ Each slice stores only the rows it inserts and links to the slice below:
 a letter shift x * r of a row r spanned there is read through the column's
 suffix, the column less its leading letter, and keeps each pivot its row's
 largest column, so the pivots stay distinct.  Only the products g * m2 are
-inserted, and one is skipped as dependent when it is a right shift r * y of
-a row r found dependent at the degree below, as it depends on the rows
-before it too, or when m2 is the pivot (tip) of a row h of slice e - deg g:
-g * m2 = g * h - sum over w < m2 of h_w * g * w, g * h lies in V * I_(e-1),
-which the shifts span, and each g * w came earlier.
+inserted.  One is skipped as dependent when its parent g * m2', m2 = m2' * y,
+was skipped or dependent at the degree below, or when m2 is the pivot (tip)
+of a row h of slice e - deg g: g * m2 = g * h - sum over w < m2 of
+h_w * g * w, g * h lies in V * I_(e-1), which the shifts span, and each
+g * w came earlier.  Any other is inserted as r * y, r the row its parent
+stored (as the Simplify step of Faugere's F4 does), or as g if deg g = e.
+r = (g * m2' - s) / p, p a scalar and s in the span that g * m2' met, and
+s * y lies in the span that g * m2 meets: s's shifts x * r' go to
+x * (r' * y) in V * I_(e-1), its products h * m2'' to h * (m2'' * y), which
+came before g * m2.  So r * y leaves g * m2's remainder over p, every stored
+row and verdict is unchanged, and most such vectors hold no pivot column.
 
 Reduction pushes only pivot columns onto its heap.  Every row's other
 entries lie below its pivot, so the columns pop in descending order, a
@@ -77,11 +83,14 @@ class Echelon:
 
     def reduce(self, vec: Vector) -> Vector:
         """Normal form of vec modulo the spanned row space (vec is not
-        mutated), supported off the pivot columns.  Only pivot columns enter
-        the heap: a row's other entries lie below its pivot, so columns pop
-        in descending order and a popped column never reappears."""
+        mutated), supported off the pivot columns; a copy of vec if it holds
+        none.  Only pivot columns enter the heap: a row's other entries lie
+        below its pivot, so columns pop in descending order and a popped
+        column never reappears."""
         pivots, columns = self.pivots, self.columns
         v = dict(vec)
+        if columns.isdisjoint(v):
+            return v
         heap = [-c for c in v if c in columns]
         heapq.heapify(heap)
         while heap:
@@ -202,42 +211,42 @@ class TruncatedIdealBasis:
                     self._relations.append((deg, [(c, sign * x) for c, x in vec.items()]))
         self.slices: list[Echelon] = []
         self.stats: list[SliceStats] = []
-        dependent: list[bytearray] = []
+        parents: list[list[Vector | None]] = []
         for e in range(max_degree + 1):
-            ech, reduced, dependent = self._build_slice(e, dependent)
+            ech, reduced, parents = self._build_slice(e, parents)
             self.slices.append(ech)
             self.stats.append(SliceStats(
                 rows_generated=spanning[e],
                 rows_reduced=reduced,
                 rank=k ** e - self.dimension(e)))
 
-    def _build_slice(self, e: int, parents: list[bytearray]
-                     ) -> tuple[Echelon, int, list[bytearray]]:
+    def _build_slice(self, e: int, parents: list[list[Vector | None]]
+                     ) -> tuple[Echelon, int, list[list[Vector | None]]]:
         """Echelon of the degree-e slice over ``letters``, the number of
-        rows inserted, and per relation the dependent flags of its rows
-        g * m2, by m2; ``parents`` holds the flags of degree e-1."""
+        rows inserted, and per relation, by m2, the own row that g * m2
+        stored, None if skipped or dependent; ``parents`` holds those of
+        degree e-1, the rows r whose r * y are inserted for g * (m2' * y)."""
         k = self.k
         ech = Echelon(self.slices[e - 1], k) if e else Echelon()
         reduced = 0
-        dependent = []
+        stored = []
         for t, (e0, coords) in enumerate(self._relations):
             if e0 > e:  # the relations are sorted by degree
                 break
-            n = k ** (e - e0)
-            # g * m2 sits at column w * k^(e-e0) + m2 for each word w of g;
-            # its parent g * m2' with m2 = m2' * y has index m2 div k
-            shifted = [(col * n, c) for col, c in coords]
-            parent = parents[t] if t < len(parents) else b"\0"  # deg g = e: no parent
             tips = self.slices[e - e0].columns  # e0 >= 1: a slice already built
-            flags = bytearray(n)
-            for m2 in range(n):
-                if not parent[m2 // k] and m2 not in tips:
-                    reduced += 1
-                    if ech.insert({m2 + col: c for col, c in shifted}):
-                        continue
-                flags[m2] = 1
-            dependent.append(flags)
-        return ech, reduced, dependent
+            own: list[Vector | None] = [None] * k ** (e - e0)
+            if e0 == e:  # g itself, which has no parent
+                products = [(0, dict(coords))]
+            else:  # r * y sits at column c * k + y for each column c of r
+                products = ((i * k + y, {c * k + y: x for c, x in r.items()})
+                            for i, r in enumerate(parents[t]) if r is not None
+                            for y in range(k) if i * k + y not in tips)
+            for m2, vec in products:
+                reduced += 1
+                if ech.insert(vec):  # its row is the newest one stored
+                    own[m2] = next(reversed(ech.pivots.values()))
+            stored.append(own)
+        return ech, reduced, stored
 
     def _vector(self, q: Poly) -> Vector:
         """q's coordinates over the words of ``letters``; a word that holds a

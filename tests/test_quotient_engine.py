@@ -11,15 +11,22 @@ passes every spanning product through ``Echelon.insert`` over the alphabet as
 given.  The engine drops the letters that single-word degree-1 relations
 kill, stores in each slice only the rows it inserts, reads the letter shifts
 of the rows of the slices below through the column's suffix, and inserts
-only the products g * m2, of every other relation, that are neither right
-shifts of dependent rows nor products whose m2 is a pivot column (a tip) of
-the slice e - deg g; it must have the same ranks, the same pivot words once
-its own are lifted back to the given alphabet, and the same remainders, and
-each slice must span the letter shifts of the rows of the degree below.
+only the products g * m2, of every other relation, whose parent g * m2'
+(m2 = m2' * y) was neither skipped nor dependent and whose m2 is not a pivot
+column (a tip) of the slice e - deg g; it must have the same ranks, the same
+pivot words once its own are lifted back to the given alphabet, and the same
+remainders, and each slice must span the letter shifts of the rows of the
+degree below.
+
+``RawProducts`` is the engine before it inserted each such product as r * y,
+r the row its parent stored: it inserts every g * m2 raw and passes on only
+dependent flags.  r * y lies in g * m2's coset of the span so far, so the
+engine's own rows must be exactly its, in value, type and insertion order,
+with the same stats, dims and remainders.
 
 ``expanded_rows`` rebuilds a slice's full row set, its own rows plus the
 letter shifts of the lower slices, and the last two oracles are read
-through it.  ``CopiedShifts`` is the engine as it was before the slices
+through it.  ``CopiedShifts`` is ``RawProducts`` as it was before the slices
 linked to the slice below: each slice first copies those shifts, entry by
 entry, and the relations keep the signs they are given.  ``RightShiftOnly``
 is ``CopiedShifts`` without the tip rule.  A skipped product is dependent
@@ -277,19 +284,35 @@ def typed(vec, base=0):
 
 def assert_kernel_matches_reference(inserted, queries):
     """Insert ``inserted`` into an Echelon and into a reference store: the
-    stored rows are equal, entry types included.  Each query then reduces
-    to the reference's remainder, types included, and is left unmutated."""
+    stored rows are equal, entry types included, and mutating a vector once
+    it is inserted changes none of them.  Each query then reduces to the
+    reference's remainder, types included, and is left unmutated.  reduce
+    never returns the dict it is given, and returns one equal to it when
+    no entry lies on a pivot column."""
     ech, pivots = Echelon(), {}
-    for vec in inserted:
+
+    def reduced(vec):
         before = typed(vec)
-        assert ech.insert(vec) == reference_insert(pivots, vec)
-        assert typed(vec) == before
+        rem = ech.reduce(vec)
+        assert typed(vec) == before and rem is not vec
+        if ech.columns.isdisjoint(vec):
+            assert typed(rem) == before
+        return rem
+
+    for vec in inserted:
+        reduced(vec)
+        given = dict(vec)
+        assert ech.insert(given) == reference_insert(pivots, vec)
+        assert typed(given) == typed(vec)
+        stored = {p: typed(r) for p, r in ech.pivots.items()}
+        for c in given:
+            given[c] += 1
+        given[max(given, default=-1) + 1] = 1
+        assert {p: typed(r) for p, r in ech.pivots.items()} == stored
     assert {p: typed(r) for p, r in ech.pivots.items()} == \
         {p: typed(r) for p, r in pivots.items()}
     for vec in queries:
-        before = typed(vec)
-        assert typed(ech.reduce(vec)) == typed(reference_reduce(pivots, vec))
-        assert typed(vec) == before
+        assert typed(reduced(vec)) == typed(reference_reduce(pivots, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -486,22 +509,56 @@ class TestAgainstReduceEveryProduct:
 
 
 # ---------------------------------------------------------------------------
-# copied-shifts and right-shift-only oracles
+# raw-products, copied-shifts and right-shift-only oracles
 # ---------------------------------------------------------------------------
 
-class CopiedShifts(TruncatedIdealBasis):
-    """The engine before its slices linked to the slice below:
-    ``_build_slice`` first copies into an unlinked Echelon, entry by entry,
-    x * r for every letter x and row r of the degree below, and the relation
-    vectors keep the signs that the presentation gives them."""
+class RawProducts(TruncatedIdealBasis):
+    """The engine before it inserted each product as its parent's stored
+    row times one letter: ``_build_slice`` inserts every product g * m2 raw,
+    at columns w * k^(e - deg g) + m2 for the words w of g, and passes on per
+    relation the dependent flags of its products, by m2, in a bytearray.  It
+    skips g * m2 when its parent g * m2', with m2 = m2' * y, was flagged, or
+    when m2 is a pivot column (a tip) of the slice e - deg g."""
 
     tip_rule = True
+
+    def _echelon(self, e):
+        return Echelon(self.slices[e - 1], self.k) if e else Echelon()
+
+    def _build_slice(self, e, parents):
+        k = self.k
+        ech = self._echelon(e)
+        reduced = 0
+        dependent = []
+        for t, (e0, coords) in enumerate(self._relations):
+            if e0 > e:
+                break
+            n = k ** (e - e0)
+            shifted = [(col * n, c) for col, c in coords]
+            parent = parents[t] if t < len(parents) else b"\0"
+            tips = self.slices[e - e0].columns if self.tip_rule else ()
+            flags = bytearray(n)
+            for m2 in range(n):
+                if not parent[m2 // k] and m2 not in tips:
+                    reduced += 1
+                    if ech.insert({m2 + col: c for col, c in shifted}):
+                        continue
+                flags[m2] = 1
+            dependent.append(flags)
+        return ech, reduced, dependent
+
+
+class CopiedShifts(RawProducts):
+    """``RawProducts`` before its slices linked to the slice below: each
+    slice starts as an unlinked Echelon holding a copy, entry by entry, of
+    x * r for every letter x and row r of the degree below, and the relation
+    vectors keep the signs that the presentation gives them."""
 
     def __init__(self, presentation, max_degree):
         self.given = presentation
         super().__init__(presentation, max_degree)
 
-    def _build_slice(self, e, parents):
+    def _echelon(self, e):
         k = self.k
         if not e:  # the relation vectors as given, sorted by degree
             rels = sorted(self.given.relations, key=Poly.degree)
@@ -514,24 +571,7 @@ class CopiedShifts(TruncatedIdealBasis):
                 for base in range(0, k * step, step):
                     ech.pivots[base + piv] = {base + c: x for c, x in row.items()}
             ech.columns.update(ech.pivots)
-        reduced = 0
-        dependent = []
-        for t, (e0, coords) in enumerate(self._relations):
-            if e0 > e:
-                break
-            n = k ** (e - e0)
-            shifted = [(col * n, c) for col, c in coords]
-            parent = parents[t] if t < len(parents) else b"\0"
-            tips = self.slices[e - e0].pivots if self.tip_rule else ()
-            flags = bytearray(n)
-            for m2 in range(n):
-                if not parent[m2 // k] and m2 not in tips:
-                    reduced += 1
-                    if ech.insert({m2 + col: c for col, c in shifted}):
-                        continue
-                flags[m2] = 1
-            dependent.append(flags)
-        return ech, reduced, dependent
+        return ech
 
 
 class RightShiftOnly(CopiedShifts):
@@ -552,6 +592,23 @@ def assert_same_rows(basis, oracle):
         assert all(typed(rows[p]) == typed(row) for p, row in expected.items()), e
 
 
+def typed_terms(q):
+    """q's terms, each coefficient paired with its type."""
+    return {w: (type(c), c) for w, c in q.terms.items()}
+
+
+def assert_same_remainders(basis, oracle, letters, d):
+    """basis and oracle leave equal remainders, coefficient types included,
+    of 50 random words over letters at each degree up to d and of one query
+    with many terms."""
+    for e in range(d + 1):
+        rng = random.Random(e)
+        words = [tuple(rng.choice(letters) for _ in range(e)) for _ in range(50)]
+        dense = Poly({w: Fraction(i % 5 - 2, i % 3 + 1) for i, w in enumerate(words)})
+        for q in [Poly.term(1, w) for w in words] + [dense]:
+            assert typed_terms(basis.reduce(q)) == typed_terms(oracle.reduce(q)), (e, q)
+
+
 def assert_tip_rule_keeps_rows(pres, d, key):
     """The engine against ``RightShiftOnly`` at every degree: equal full
     row sets, entry for entry and type for type (so equal pivot sets), equal
@@ -567,14 +624,28 @@ def assert_tip_rule_keeps_rows(pres, d, key):
     assert all(s.rows_reduced <= t.rows_reduced for s, t in zip(basis.stats, oracle.stats))
     assert_same_rows(basis, oracle)
     assert_only_own_rows(basis)
-    letters = sorted(pres.alphabet)
-    for e in range(d + 1):
-        rng = random.Random(e)
-        words = [tuple(rng.choice(letters) for _ in range(e)) for _ in range(50)]
-        for w in words:
-            assert basis.reduce(Poly.term(1, w)) == oracle.reduce(Poly.term(1, w))
-        dense = Poly({w: Fraction(i % 5 - 2, i % 3 + 1) for i, w in enumerate(words)})
-        assert basis.reduce(dense) == oracle.reduce(dense)
+    assert_same_remainders(basis, oracle, sorted(pres.alphabet), d)
+
+
+def assert_same_own_rows(basis, oracle):
+    """basis and oracle have equal stats, and each slice stores the same own
+    rows, entry for entry and type for type, in the same order."""
+    assert basis.stats == oracle.stats
+    for e, (ech, raw) in enumerate(zip(basis.slices, oracle.slices, strict=True)):
+        assert [(p, typed(r)) for p, r in ech.pivots.items()] == \
+            [(p, typed(r)) for p, r in raw.pivots.items()], e
+
+
+def assert_matches_raw_products(pres, d, key):
+    """The engine against ``RawProducts``: equal stats, own rows in value,
+    type and insertion order, dims, quotient bases and remainders, on pres
+    relabelled so that the canonical order is key's."""
+    pres = relabelled(pres, key)
+    basis, oracle = TruncatedIdealBasis(pres, d), RawProducts(pres, d)
+    assert_same_own_rows(basis, oracle)
+    assert basis.dimensions() == oracle.dimensions()
+    assert all(basis.quotient_basis(e) == oracle.quotient_basis(e) for e in range(d + 1))
+    assert_same_remainders(basis, oracle, sorted(pres.alphabet), d)
 
 
 TIP_CASES = (
@@ -591,6 +662,15 @@ class TestAgainstRightShiftOnly:
                              ids=[f"{p.label},d={d}" for p, d in TIP_CASES])
     def test_same_rows(self, pres, d, key):
         assert_tip_rule_keeps_rows(pres, d, key)
+
+
+class TestAgainstRawProducts:
+    @pytest.mark.parametrize("key", [symbol_key, reversed_key],
+                             ids=["symbol_key", "reversed_symbol_key"])
+    @pytest.mark.parametrize("pres,d", TIP_CASES,
+                             ids=[f"{p.label},d={d}" for p, d in TIP_CASES])
+    def test_same_own_rows(self, pres, d, key):
+        assert_matches_raw_products(pres, d, key)
 
 
 class TestTrivialExamples:
@@ -797,6 +877,41 @@ class TestEngineProperties:
         assert len(stored_entries(basis.slices)) == entries
         assert_only_own_rows(basis)
         assert_shifts_stored(basis)
+
+    @pytest.mark.parametrize("pres,held,raw_held,inserted", [
+        (qn_presentation(3, "u"), 13, 112, 260),
+        (graph_presentation(cycle_graph(4)), 221, 443, 863),
+    ], ids=["Q3-u", "graph-C4"])
+    def test_products_arrive_reduced(self, pres, held, raw_held, inserted, monkeypatch):
+        # at d=4, each product g * m2 with deg g < e is inserted as r * y, r
+        # the own row its parent g * m2' stored at e - 1 and m2 = m2' * y,
+        # so its columns are r's times k plus y; the relations of degree e
+        # come last, as their vectors.  Of the vectors inserted, only
+        # ``held`` have an entry on a pivot column, against ``raw_held`` of
+        # the same number that RawProducts inserts raw
+        calls = []
+        insert = Echelon.insert
+
+        def recording(self, vec):
+            calls.append((self, dict(vec), not self.columns.isdisjoint(vec)))
+            return insert(self, vec)
+        monkeypatch.setattr(Echelon, "insert", recording)
+        basis = TruncatedIdealBasis(pres, 4)
+        assert (len(calls), sum(h for _, _, h in calls)) == (inserted, held)
+        k = basis.k
+        for e, ech in enumerate(basis.slices):
+            vecs = [vec for target, vec, _ in calls if target is ech]
+            rels = [dict(coords) for e0, coords in basis._relations if e0 == e]
+            split = len(vecs) - len(rels)
+            assert [typed(v) for v in vecs[split:]] == [typed(v) for v in rels], e
+            for vec in vecs[:split]:
+                y = min(vec) % k
+                assert all(c % k == y for c in vec), (e, vec)
+                row = {c // k: x for c, x in vec.items()}
+                assert typed(basis.slices[e - 1].pivots.get(max(row), {})) == typed(row), (e, vec)
+        calls.clear()
+        RawProducts(pres, 4)
+        assert (len(calls), sum(h for _, _, h in calls)) == (inserted, raw_held)
 
     def test_cancelled_columns_refilled(self):
         # the row at 5 cancels the query's pivot column 3 and its non-pivot

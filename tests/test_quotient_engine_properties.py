@@ -4,8 +4,9 @@ over the alphabet as given: the engine, which drops the letters that
 single-word degree-1 relations kill, stores in each slice only the rows it
 inserts, reads the letter shifts of the rows of the slices below through the
 column's suffix, and inserts only the products g * m2, of every other
-relation, degree 1 included, that are neither right shifts of dependent rows
-nor g * m2 with m2 a pivot of the slice e - deg g, must have the same ranks,
+relation, degree 1 included, whose parent g * m2' (m2 = m2' * y) was neither
+skipped nor dependent and whose m2 is not a pivot of the slice e - deg g,
+each as r * y with r the row its parent stored, must have the same ranks,
 lifted pivot words and remainders, its letters must be the alphabet less the
 killed ones, and each slice must span those letter shifts.  Against
 ``RightShiftOnly``, the copying engine without that pivot (tip) rule, its
@@ -17,11 +18,17 @@ its letters in any drawn order, a presentation must keep its dims, ranks and
 membership verdicts.  Against ``CopiedShifts``, the copying engine that keeps
 each relation's sign, relations scaled by drawn factors of either sign,
 Fractions included, must give the same expanded rows, dims, quotient bases
-and remainders.
+and remainders.  Against ``RawProducts``, which inserts every such g * m2
+raw, the same rescaled presentations must give the same own rows in value,
+type and insertion order, and the same stats, dims, quotient bases and
+remainders.
 
 The elimination kernel itself, ``Echelon.insert`` and ``Echelon.reduce``, is
 checked on random triangular stores against ``reference_reduce``, the
-kernel as first written, which heaps every column of the vector."""
+kernel as first written, which heaps every column of the vector; reduce
+must return a new dict, equal to the vector when it holds no pivot column,
+and a vector mutated after ``insert`` must leave the stored rows as they
+were."""
 
 from fractions import Fraction
 
@@ -37,8 +44,10 @@ from ncomplex.quotient_engine import TruncatedIdealBasis  # noqa: E402
 from test_free_algebra import assert_canonical  # noqa: E402
 from test_quotient_engine import (  # noqa: E402
     CopiedShifts,
+    RawProducts,
     assert_kernel_matches_reference,
     assert_only_own_rows,
+    assert_same_own_rows,
     assert_same_rows,
     assert_same_construction,
     assert_tip_rule_keeps_rows,
@@ -47,6 +56,7 @@ from test_quotient_engine import (  # noqa: E402
     rename,
     renaming,
     reversed_key,
+    typed_terms,
 )
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -120,6 +130,19 @@ def polys(draw, alphabet, degree):
     return Poly(draw(st.dictionaries(words, coefficients, max_size=4)))
 
 
+def drawn_member(draw, pres, e):
+    """A drawn element of the ideal's degree-e slice: the sum over the
+    relations g of degree at most e of m1 * g * m2, m1 and m2 drawn."""
+    alphabet = list(pres.alphabet)
+    member = Poly.zero()
+    for g in pres.relations:
+        if g.degree() <= e:
+            a = draw(st.integers(0, e - g.degree()))
+            member = member + (polys(draw, alphabet, a) * g
+                               * polys(draw, alphabet, e - g.degree() - a))
+    return member
+
+
 def raised(call, q):
     try:
         call(q)
@@ -140,13 +163,7 @@ def test_contains_is_reduce_to_zero(case, key, data):
     alphabet = list(pres.alphabet)
     e = data.draw(st.integers(0, d))
     q = polys(data.draw, alphabet, e)
-    member = Poly.zero()
-    for g in pres.relations:
-        if g.degree() <= e:
-            a = data.draw(st.integers(0, e - g.degree()))
-            m1 = polys(data.draw, alphabet, a)
-            m2 = polys(data.draw, alphabet, e - g.degree() - a)
-            member = member + m1 * g * m2
+    member = drawn_member(data.draw, pres, e)
     for query in (Poly.zero(), member, q, q + member):
         assert basis.contains(query) == (not basis.reduce(query))
         assert_canonical(basis.reduce(query))
@@ -177,13 +194,7 @@ def test_any_letter_order_gives_the_same_quotient(case, data):
     alphabet = list(pres.alphabet)
     e = data.draw(st.integers(0, d))
     q = polys(data.draw, alphabet, e)
-    member = Poly.zero()
-    for g in pres.relations:
-        if g.degree() <= e:
-            a = data.draw(st.integers(0, e - g.degree()))
-            m1 = polys(data.draw, alphabet, a)
-            m2 = polys(data.draw, alphabet, e - g.degree() - a)
-            member = member + m1 * g * m2
+    member = drawn_member(data.draw, pres, e)
     for query in (q, member, q + member):
         assert basis.contains(query) == renamed.contains(rename(query, letters))
 
@@ -204,8 +215,16 @@ def rescaled_presentations(draw):
     return Presentation("rescaled", pres.alphabet, tuple(rels)), d
 
 
-def typed_terms(q):
-    return {w: (type(c), c) for w, c in q.terms.items()}
+def assert_same_quotient(basis, oracle, pres, data):
+    """Equal dims, and at each degree equal quotient bases and remainders,
+    types included, of a drawn query and of a drawn member plus it."""
+    assert basis.dimensions() == oracle.dimensions()
+    alphabet = list(pres.alphabet)
+    for e in range(basis.max_degree + 1):
+        assert basis.quotient_basis(e) == oracle.quotient_basis(e)
+        q = polys(data.draw, alphabet, e)
+        for query in (q, q + drawn_member(data.draw, pres, e)):
+            assert typed_terms(basis.reduce(query)) == typed_terms(oracle.reduce(query))
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,21 +237,23 @@ def test_linked_slices_match_copied_shifts(case, data):
     pres, d = case
     basis, oracle = TruncatedIdealBasis(pres, d), CopiedShifts(pres, d)
     assert basis.stats == oracle.stats
-    assert basis.dimensions() == oracle.dimensions()
     assert_same_rows(basis, oracle)
     assert_only_own_rows(basis)
-    alphabet = list(pres.alphabet)
-    for e in range(d + 1):
-        assert basis.quotient_basis(e) == oracle.quotient_basis(e)
-        q = polys(data.draw, alphabet, e)
-        member = Poly.zero()
-        for g in pres.relations:
-            if g.degree() <= e:
-                a = data.draw(st.integers(0, e - g.degree()))
-                member = member + (polys(data.draw, alphabet, a) * g
-                                   * polys(data.draw, alphabet, e - g.degree() - a))
-        for query in (q, q + member):
-            assert typed_terms(basis.reduce(query)) == typed_terms(oracle.reduce(query))
+    assert_same_quotient(basis, oracle, pres, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rescaled_presentations(), st.data())
+def test_parent_rows_times_a_letter_match_raw_products(case, data):
+    """The engine, which inserts each product g * m2 of a relation of degree
+    below e as the row its parent stored times the last letter of m2,
+    against ``RawProducts``, which inserts every g * m2 raw: equal stats,
+    own rows in value, type and insertion order, dims, quotient bases, and
+    remainders of a drawn query and of a member plus it."""
+    pres, d = case
+    basis, oracle = TruncatedIdealBasis(pres, d), RawProducts(pres, d)
+    assert_same_own_rows(basis, oracle)
+    assert_same_quotient(basis, oracle, pres, data)
 
 
 entries = st.one_of(st.integers(-3, 3), coefficients).filter(bool)
