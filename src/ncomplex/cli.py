@@ -51,8 +51,6 @@ def parse_complex_file(path: str) -> Complex:
     if "n" not in obj or "facets" not in obj:
         raise ValueError(f"{path}: required keys 'n' and 'facets'")
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{path}: 'n' must be an integer")
     facets = obj["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ValueError(f"{path}: 'facets' must be a list of vertex lists")
@@ -80,9 +78,13 @@ def _cmd_closure(args) -> int:
 
 
 def _require(args, family: str, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name.lstrip("-").replace("-", "_"), None) is None:
-            raise ValueError(f"relations --family {family} requires {name}")
+    """Refuse the first of names not given, then the first other flag given."""
+    given = [f for f in ("--n", "--A", "--B", "--i", "--j", "--complex")
+             if getattr(args, f[2:]) is not None]
+    wrong = ([f"requires {f}" for f in names if f not in given]
+             + [f"does not read {f}" for f in given if f not in names])
+    if wrong:
+        raise ValueError(f"relations --family {family} {wrong[0]}")
 
 
 def _cmd_relations(args) -> int:
@@ -92,11 +94,10 @@ def _cmd_relations(args) -> int:
         g = Graph.from_complex(parse_complex_file(args.complex))
         polys = graph_presentation(g).relations
     else:
-        _require(args, fam, ["--n", "--i", "--j", "--A"])
+        _require(args, fam, ["--n", "--i", "--j", "--A"] + ["--B"] * (fam == "9"))
         n, i, j = args.n, args.i, args.j
         a = _parse_node_set("--A", args.A, n)
         if fam == "9":
-            _require(args, fam, ["--B"])
             polys = [rel_9(a, _parse_node_set("--B", args.B, n), i, j)]
         else:
             builder = {"1": rel_additive, "2": rel_multiplicative,

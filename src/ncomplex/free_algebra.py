@@ -243,6 +243,7 @@ class Poly:
         return degs[0]
 
     def graded_component(self, d: int) -> "Poly":
+        _require_int("degree", d)
         if d < 0:
             raise ValueError("degree must be >= 0")
         return Poly._canonical({w: c for w, c in self._terms.items() if len(w) == d},

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .complexes import NodeSet
+from .complexes import NodeSet, _require_int
 from .free_algebra import Poly, Rational, _add, commutator, exact, u, z
 
 #: refuse expressions that nest '(' and '[' deeper than this
@@ -172,6 +172,10 @@ def parse_poly(text: str, n: int, max_degree: int | None = None) -> Poly:
     a product or commutator of higher degree is refused as soon as its
     factors are read, even where it would later cancel, and so is a result
     with a term of higher degree (only a lone letter at bound 0 gets there)."""
+    if max_degree is not None:
+        _require_int("max_degree", max_degree)
+        if max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
     parser = _Parser(text, n, max_degree)
     p = parser.expr()
     if parser.kind is not None:

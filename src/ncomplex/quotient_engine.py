@@ -22,17 +22,18 @@ Each slice stores only the rows it inserts and links to the slice below:
 a letter shift x * r of a row r spanned there is read through the column's
 suffix, the column less its leading letter, and keeps each pivot its row's
 largest column, so the pivots stay distinct.  Only the products g * m2 are
-inserted.  One is skipped as dependent when its parent g * m2', m2 = m2' * y,
-was skipped or dependent at the degree below, or when m2 is the pivot (tip)
-of a row h of slice e - deg g: g * m2 = g * h - sum over w < m2 of
-h_w * g * w, g * h lies in V * I_(e-1), which the shifts span, and each
-g * w came earlier.  Any other is inserted as r * y, r the row its parent
-stored (as the Simplify step of Faugere's F4 does), or as g if deg g = e.
-r = (g * m2' - s) / p, p a scalar and s in the span that g * m2' met, and
-s * y lies in the span that g * m2 meets: s's shifts x * r' go to
-x * (r' * y) in V * I_(e-1), its products h * m2'' to h * (m2'' * y), which
-came before g * m2.  So r * y leaves g * m2's remainder over p, every stored
-row and verdict is unchanged, and most such vectors hold no pivot column.
+inserted; ``Echelon.insert`` returns the row each stores, kept by m2.  One
+is skipped as dependent when its parent g * m2', m2 = m2' * y, stored no
+row, or when m2 is the pivot (tip) of a row h of slice e - deg g:
+g * m2 = g * h - sum over w < m2 of h_w * g * w, g * h lies in V * I_(e-1),
+which the shifts span, and each g * w came earlier.  Any other is inserted
+as r * y, r the row its parent stored (as the Simplify step of Faugere's F4
+does), or as g if deg g = e.  r = (g * m2' - s) / p, p a scalar and s in
+the span that g * m2' met, and s * y lies in the span that g * m2 meets:
+s's shifts x * r' go to x * (r' * y) in V * I_(e-1), its products h * m2''
+to h * (m2'' * y), which came before g * m2.  So r * y leaves g * m2's
+remainder over p, every stored row and verdict is unchanged, and most such
+vectors hold no pivot column.
 
 Reduction pushes only pivot columns onto its heap.  Every row's other
 entries lie below its pivot, so the columns pop in descending order, a
@@ -82,11 +83,8 @@ class Echelon:
         return len(self.columns)
 
     def reduce(self, vec: Vector) -> Vector:
-        """Normal form of vec modulo the spanned row space (vec is not
-        mutated), supported off the pivot columns; a copy of vec if it holds
-        none.  Only pivot columns enter the heap: a row's other entries lie
-        below its pivot, so columns pop in descending order and a popped
-        column never reappears."""
+        """Normal form of vec modulo the spanned row space, a new dict
+        supported off the pivot columns (a copy of vec if it holds none)."""
         pivots, columns = self.pivots, self.columns
         v = dict(vec)
         if columns.isdisjoint(v):
@@ -117,12 +115,13 @@ class Echelon:
                     v.pop(c2, None)
         return v
 
-    def insert(self, vec: Vector) -> bool:
+    def insert(self, vec: Vector) -> Vector | None:
         """Reduce and, if independent, store as a new pivot row.  Returns
-        whether the rank grew."""
+        the row stored, the object now in ``pivots``, or None if vec lies
+        in the span."""
         r = self.reduce(vec)
         if not r:
-            return False
+            return None
         lead = max(r)
         p = r[lead]
         if p == 1:  # the remainder is the row, its integral Fractions made int
@@ -134,7 +133,7 @@ class Echelon:
             r = {c: exact(x * inv) for c, x in r.items()}
         self.pivots[lead] = r
         self.columns.add(lead)
-        return True
+        return r
 
 
 def _index_word(idx: int, letters: list[Symbol], degree: int) -> Word:
@@ -201,17 +200,12 @@ class TruncatedIdealBasis:
         self.k = len(self.letters)
         self._sym_index = {s: i for i, s in enumerate(self.letters)}
         self._alphabet = frozenset(letters)
-        self._relations: list[tuple[int, list[tuple[int, Rational]]]] = []
-        for deg, r in sorted(rels, key=lambda dr: dr[0]):
-            if deg <= max_degree:
-                vec = self._vector(r)
-                if vec:
-                    # signs change no stored row; a positive lead keeps most pivots 1
-                    sign = -1 if vec[max(vec)] < 0 else 1
-                    self._relations.append((deg, [(c, sign * x) for c, x in vec.items()]))
+        self._relations: list[tuple[int, Vector]] = [
+            (deg, vec) for deg, r in sorted(rels, key=lambda dr: dr[0])
+            if deg <= max_degree and (vec := self._vector(r))]
         self.slices: list[Echelon] = []
         self.stats: list[SliceStats] = []
-        parents: list[list[Vector | None]] = []
+        parents: list[dict[int, Vector]] = []
         for e in range(max_degree + 1):
             ech, reduced, parents = self._build_slice(e, parents)
             self.slices.append(ech)
@@ -220,31 +214,31 @@ class TruncatedIdealBasis:
                 rows_reduced=reduced,
                 rank=k ** e - self.dimension(e)))
 
-    def _build_slice(self, e: int, parents: list[list[Vector | None]]
-                     ) -> tuple[Echelon, int, list[list[Vector | None]]]:
+    def _build_slice(self, e: int, parents: list[dict[int, Vector]]
+                     ) -> tuple[Echelon, int, list[dict[int, Vector]]]:
         """Echelon of the degree-e slice over ``letters``, the number of
-        rows inserted, and per relation, by m2, the own row that g * m2
-        stored, None if skipped or dependent; ``parents`` holds those of
-        degree e-1, the rows r whose r * y are inserted for g * (m2' * y)."""
+        rows inserted, and per relation g a dict from m2 to the own row that
+        g * m2 stored; ``parents`` holds those of degree e-1, the rows r
+        whose r * y are inserted for g * (m2' * y)."""
         k = self.k
         ech = Echelon(self.slices[e - 1], k) if e else Echelon()
         reduced = 0
         stored = []
-        for t, (e0, coords) in enumerate(self._relations):
+        for t, (e0, g) in enumerate(self._relations):
             if e0 > e:  # the relations are sorted by degree
                 break
             tips = self.slices[e - e0].columns  # e0 >= 1: a slice already built
-            own: list[Vector | None] = [None] * k ** (e - e0)
             if e0 == e:  # g itself, which has no parent
-                products = [(0, dict(coords))]
+                products = [(0, g)]
             else:  # r * y sits at column c * k + y for each column c of r
                 products = ((i * k + y, {c * k + y: x for c, x in r.items()})
-                            for i, r in enumerate(parents[t]) if r is not None
+                            for i, r in parents[t].items()
                             for y in range(k) if i * k + y not in tips)
+            own: dict[int, Vector] = {}
             for m2, vec in products:
                 reduced += 1
-                if ech.insert(vec):  # its row is the newest one stored
-                    own[m2] = next(reversed(ech.pivots.values()))
+                if (row := ech.insert(vec)) is not None:
+                    own[m2] = row
             stored.append(own)
         return ech, reduced, stored
 

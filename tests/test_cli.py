@@ -53,7 +53,8 @@ class TestParseComplexFile:
             ('{"n": 0, "facets": []}', "n=0 outside 1..16"),
             ('{"n": 3, "facets": [[1]], "extra": 1}', "unknown key 'extra'"),
             ('{"n": 3}', "required keys"),
-            ('{"n": "3", "facets": []}', "'n' must be an integer"),
+            ('{"n": "3", "facets": []}', "bad.json: n '3' is not an integer"),
+            ('{"n": true, "facets": []}', "bad.json: n True is not an integer"),
             ('{"n": 3, "facets": [1]}', "list of vertex lists"),
             ('[1,2]', "top level must be an object"),
             ('{nope', "malformed JSON"),
@@ -183,6 +184,24 @@ class TestRelationsCommand:
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, ["relations", "--family", "4", "--n", "2"])
         assert code == 2 and "requires" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        ("--family 10 --n 3 --A 3 --i 1 --j 2 --complex {path}", "10 does not read --complex"),
+        ("--family 4 --n 3 --A 3 --B 1 --i 1 --j 2", "4 does not read --B"),
+        ("--family 1 --n 3 --A 3 --i 1 --j 2 --B '' --complex {path}",
+         "1 does not read --B"),
+        ("--family theorem --n 3 --complex {path}", "theorem does not read --n"),
+        ("--family theorem --complex {path} --A 3 --i 1", "theorem does not read --A"),
+        # a missing flag is named first, in the order the family reads them
+        ("--family 4 --n 2", "4 requires --i"),
+        ("--family 4 --n 2 --B 1 --complex {path}", "4 requires --i"),
+        ("--family 9 --n 3 --A 3 --i 1 --j 2 --complex {path}", "9 requires --B"),
+        ("--family theorem --n 3", "theorem requires --complex"),
+    ])
+    def test_flags_the_family_does_not_read_refused(self, capsys, path3, argv, message):
+        argv = shlex.split(argv.format(path=shlex.quote(path3)))
+        code, out, err = run(capsys, ["relations", *argv])
+        assert (code, out, err) == (2, "", f"error: relations --family {message}\n")
 
     @pytest.mark.parametrize("family", ["4", "10"])
     @pytest.mark.parametrize("n,i,msg", [("2", "0", "vertex 0 is below 1"),

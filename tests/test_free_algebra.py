@@ -437,8 +437,14 @@ class TestGrading:
             (us(1) + us(1) * us(2)).degree()
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^degree must be >= 0$"):
             us(1).graded_component(-1)
+
+    @pytest.mark.parametrize("d,text", [(True, "True"), (1.0, "1.0"), ("1", "'1'")])
+    def test_degree_must_be_an_int(self, d, text):
+        # True and 1.0 would select degree 1; '1' would fail to compare
+        with pytest.raises(ValueError, match=rf"^degree {text} is not an integer$"):
+            us(1).graded_component(d)
 
 
 class TestWordCount:

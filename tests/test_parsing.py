@@ -126,6 +126,19 @@ def test_degree_bound_on_a_lone_letter():
     assert parse_poly("u({})", 3, max_degree=0) == Poly.one()
 
 
+@pytest.mark.parametrize("bound,message", [
+    (True, "max_degree True is not an integer"),
+    (1.5, "max_degree 1.5 is not an integer"),
+    ("2", "max_degree '2' is not an integer"),
+    (-1, "max_degree must be >= 0"),
+])
+def test_degree_bound_must_be_an_int_at_least_0(bound, message):
+    # checked before the text is read, so even a constant is refused
+    for text in ("2", "u({1})"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_poly(text, 3, max_degree=bound)
+
+
 def nested(depth, open_, inner, close):
     return open_ * depth + inner + close * depth
 

@@ -28,11 +28,10 @@ with the same stats, dims and remainders.
 letter shifts of the lower slices, and the last two oracles are read
 through it.  ``CopiedShifts`` is ``RawProducts`` as it was before the slices
 linked to the slice below: each slice first copies those shifts, entry by
-entry, and the relations keep the signs they are given.  ``RightShiftOnly``
-is ``CopiedShifts`` without the tip rule.  A skipped product is dependent
-and a re-signed relation spans the same rows, so the engine's expanded rows
-must be exactly theirs, entry for entry and type for type, with the same
-dims and remainders.
+entry.  ``RightShiftOnly`` is ``CopiedShifts`` without the tip rule.  A
+skipped product is dependent, so the engine's expanded rows must be exactly
+theirs, entry for entry and type for type, with the same dims and
+remainders.
 """
 
 import hashlib
@@ -284,8 +283,10 @@ def typed(vec, base=0):
 
 def assert_kernel_matches_reference(inserted, queries):
     """Insert ``inserted`` into an Echelon and into a reference store: the
-    stored rows are equal, entry types included, and mutating a vector once
-    it is inserted changes none of them.  Each query then reduces to the
+    stored rows are equal, entry types included, insert returns None exactly
+    when the reference finds the vector dependent and otherwise the row it
+    stored, the object in ``pivots``, and mutating a vector once it is
+    inserted changes none of them.  Each query then reduces to the
     reference's remainder, types included, and is left unmutated.  reduce
     never returns the dict it is given, and returns one equal to it when
     no entry lies on a pivot column."""
@@ -302,7 +303,11 @@ def assert_kernel_matches_reference(inserted, queries):
     for vec in inserted:
         reduced(vec)
         given = dict(vec)
-        assert ech.insert(given) == reference_insert(pivots, vec)
+        row = ech.insert(given)
+        if reference_insert(pivots, vec):
+            assert row is not None and row is ech.pivots[max(row)]
+        else:
+            assert row is None
         assert typed(given) == typed(vec)
         stored = {p: typed(r) for p, r in ech.pivots.items()}
         for c in given:
@@ -534,7 +539,7 @@ class RawProducts(TruncatedIdealBasis):
             if e0 > e:
                 break
             n = k ** (e - e0)
-            shifted = [(col * n, c) for col, c in coords]
+            shifted = [(col * n, c) for col, c in coords.items()]
             parent = parents[t] if t < len(parents) else b"\0"
             tips = self.slices[e - e0].columns if self.tip_rule else ()
             flags = bytearray(n)
@@ -551,19 +556,10 @@ class RawProducts(TruncatedIdealBasis):
 class CopiedShifts(RawProducts):
     """``RawProducts`` before its slices linked to the slice below: each
     slice starts as an unlinked Echelon holding a copy, entry by entry, of
-    x * r for every letter x and row r of the degree below, and the relation
-    vectors keep the signs that the presentation gives them."""
-
-    def __init__(self, presentation, max_degree):
-        self.given = presentation
-        super().__init__(presentation, max_degree)
+    x * r for every letter x and row r of the degree below."""
 
     def _echelon(self, e):
         k = self.k
-        if not e:  # the relation vectors as given, sorted by degree
-            rels = sorted(self.given.relations, key=Poly.degree)
-            self._relations = [(g.degree(), list(vec.items())) for g in rels
-                               if g.degree() <= self.max_degree and (vec := self._vector(g))]
         ech = Echelon()
         if e:
             step = k ** (e - 1)

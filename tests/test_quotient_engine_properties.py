@@ -15,8 +15,8 @@ entry and type for type; the relations here have degrees 1-3, so the rule
 reads slices e - 1 to e - 3.  Each of these runs in the canonical order and
 in its reverse, on the presentation with its letters renamed; renamed to put
 its letters in any drawn order, a presentation must keep its dims, ranks and
-membership verdicts.  Against ``CopiedShifts``, the copying engine that keeps
-each relation's sign, relations scaled by drawn factors of either sign,
+membership verdicts.  Against ``CopiedShifts``, the engine that copies those
+shifts into each slice, relations scaled by drawn factors of either sign,
 Fractions included, must give the same expanded rows, dims, quotient bases
 and remainders.  Against ``RawProducts``, which inserts every such g * m2
 raw, the same rescaled presentations must give the same own rows in value,
@@ -230,8 +230,8 @@ def assert_same_quotient(basis, oracle, pres, data):
 @settings(max_examples=150, deadline=None)
 @given(rescaled_presentations(), st.data())
 def test_linked_slices_match_copied_shifts(case, data):
-    """The engine, whose slices store only their own rows and whose relations
-    are re-signed to a positive lead, against ``CopiedShifts``: equal stats,
+    """The engine, whose slices store only their own rows, against
+    ``CopiedShifts``, whose slices copy the letter shifts: equal stats,
     expanded rows entry for entry and type for type, dims, quotient bases,
     and remainders of a drawn query and of a member plus it."""
     pres, d = case
